@@ -19,7 +19,6 @@ __all__ = [
     "apply_overrides",
     "builtin_case",
     "case_names",
-    "case_description",
     "emit_csv",
     "emit_plot_script",
     "compare_solvers",
@@ -334,10 +333,6 @@ def builtin_case(name):
         raise KeyError(
             f"unknown case {name!r}; available: {', '.join(sorted(cat))}")
     return replace(cat[name])
-
-
-def case_description(name):
-    return _get_catalog()[name].description
 
 
 # ---------------------------------------------------------------------------

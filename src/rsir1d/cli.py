@@ -16,6 +16,9 @@ from dataclasses import replace
 from . import __version__
 from . import cases as _cases
 from . import driver as _driver
+from .eos import EosDomainError
+from .euler import PositivityError
+from .relaxation import RelaxationError
 
 __all__ = ["main"]
 
@@ -150,6 +153,10 @@ def main(argv=None):
     except (_cases.ConfigError, KeyError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except (_driver.StepError, RelaxationError, EosDomainError,
+            PositivityError) as err:
+        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

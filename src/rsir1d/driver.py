@@ -4,10 +4,11 @@ Godunov update with non-conservative terms, and split relaxation sources.
 """
 
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import eos as _eos
 from . import euler as _euler
 from . import twophase as _tp
 from . import relaxation as _relax
@@ -92,19 +93,6 @@ def apply_boundary(u_int, kind, velocity_slots):
     return ug
 
 
-def _max_speed_euler(w, eos):
-    from .eos import sound_speed
-    c = sound_speed(eos, w[..., 0], w[..., 2])
-    return float(np.max(np.abs(w[..., 1]) + c))
-
-
-def _max_speed_twophase(w, eos2):
-    from .eos import sound_speed
-    c2 = sound_speed(eos2, w[..., 4], w[..., 6])
-    return float(np.max(np.maximum(np.abs(w[..., 2]),
-                                   np.abs(w[..., 5]) + c2)))
-
-
 def cfl_dt(max_speed, dx, cfl):
     if max_speed <= 0.0:
         raise ValueError("zero global wave speed; cannot pick a time step")
@@ -112,8 +100,24 @@ def cfl_dt(max_speed, dx, cfl):
 
 
 # ---------------------------------------------------------------------------
-# Euler model
+# Models: what the MUSCL-Hancock step needs to know about each system
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Model:
+    """The per-model operations that :func:`_step` and :func:`run` use."""
+
+    velocity_slots: tuple  # negated at a reflective wall, in both layouts
+    to_cons: object        # primitives -> conserved
+    to_prim: object        # conserved -> primitives; raises if inadmissible
+    edge: object           # (edge prims, cell prims) -> (cons, predictor flux)
+    flux: object           # (wl, wr) -> interface flux or face-flux record
+    max_speed: object      # primitives -> largest signal speed
+    totals: object         # cell rows -> summed (masses..., momentum, energy)
+    increment: object = None  # (out, w, rec, dt, dx): non-conservative terms
+    clamps: object = None     # conserved -> number of volume-fraction clamps
+    sources: object = None    # (u, dt) -> u after relaxation sources
+
 
 def _euler_flux_fn(solver, eos, beta):
     if solver == "rusanov":
@@ -131,40 +135,21 @@ def _euler_flux_fn(solver, eos, beta):
     raise ValueError(f"unknown Euler solver {solver!r}")
 
 
-def _slopes(w, first_order):
-    dw = np.zeros_like(w)
-    if not first_order:
-        dw[1:-1] = minmod(w[1:-1] - w[:-2], w[2:] - w[1:-1])
-    return dw
+def _euler_model(case):
+    eos = case.eos1
 
+    def max_speed(w):
+        c = _eos.sound_speed(eos, w[..., 0], w[..., 2])
+        return float(np.max(np.abs(w[..., 1]) + c))
 
-def _euler_step(u_int, eos, flux_fn, dt, dx, bc, first_order):
-    ug = apply_boundary(u_int, bc, velocity_slots=(1,))
-    w = _euler.prim_from_cons(ug, eos)
-    dw = _slopes(w, first_order)
-    wm = w - 0.5 * dw  # left edge of each cell
-    wp = w + 0.5 * dw  # right edge
-    if not first_order:
-        dfl = (_euler.physical_flux(wp, eos)
-               - _euler.physical_flux(wm, eos)) * (0.5 * dt / dx)
-        um = _euler.cons_from_prim(wm, eos) - dfl
-        up = _euler.cons_from_prim(wp, eos) - dfl
-        wm = _euler.prim_from_cons(um, eos)
-        wp = _euler.prim_from_cons(up, eos)
-    # faces j: between cells j+1 and j+2, j = 0..n
-    wl = wp[1:-2]
-    wr = wm[2:-1]
-    f = flux_fn(wl, wr)
-    out = u_int - dt / dx * (f[1:] - f[:-1])
-    budget = (np.sum(out, axis=0) - np.sum(u_int, axis=0)
-              + dt / dx * (f[-1] - f[0]))
-    _euler.prim_from_cons(out, eos)  # admissibility check
-    return out, budget, {}
+    return _Model(
+        velocity_slots=(1,),
+        to_cons=lambda w: _euler.cons_from_prim(w, eos),
+        to_prim=lambda u: _euler.prim_from_cons(u, eos),
+        edge=lambda we, w: _euler.cons_and_flux(we, eos),
+        flux=_euler_flux_fn(case.solver, eos, case.beta),
+        max_speed=max_speed, totals=lambda u: np.sum(u, axis=0))
 
-
-# ---------------------------------------------------------------------------
-# Two-phase model
-# ---------------------------------------------------------------------------
 
 def _tp_flux_fn(solver, eos1, eos2, beta):
     if solver == "rusanov-basic":
@@ -181,52 +166,113 @@ def _tp_flux_fn(solver, eos1, eos2, beta):
 _PHI_TO_CONS = [0, 1, 2, 3, 5, 6, 7]  # drop the alpha2 slot
 
 
-def _tp_step(u_int, eos1, eos2, flux_fn, dt, dx, bc, first_order, clamp_stats):
-    ug = apply_boundary(u_int, bc, velocity_slots=(2, 5))
-    w = _tp.tp_prim_from_cons(ug, eos1, eos2, clamp_stats)
-    dw = _slopes(w, first_order)
-    wm = w - 0.5 * dw
-    wp = w + 0.5 * dw
-    if not first_order:
+def _tp_model(case):
+    eos1, eos2 = case.eos1, case.eos2
+
+    def edge(we, w):
         # predictor on the locally conservative flux with the cell's own
         # phase-1 pressure as frozen interfacial pressure
-        p_cell = w[:, 3]
-        dphi = (_tp.local_flux(wp, p_cell, eos1, eos2)
-                - _tp.local_flux(wm, p_cell, eos1, eos2))[:, _PHI_TO_CONS]
-        dphi *= 0.5 * dt / dx
-        um = _tp.tp_cons_from_prim(wm, eos1, eos2) - dphi
-        up = _tp.tp_cons_from_prim(wp, eos1, eos2) - dphi
-        wm = _tp.tp_prim_from_cons(um, eos1, eos2, clamp_stats)
-        wp = _tp.tp_prim_from_cons(up, eos1, eos2, clamp_stats)
-    wl = wp[1:-2]
-    wr = wm[2:-1]
-    rec = flux_fn(wl, wr)
-    f = rec.f_flux
-    out = u_int - dt / dx * (f[1:] - f[:-1])
-    # non-conservative increments, cell-centered interfacial pressure
-    p_i_cell = w[NGHOST:-NGHOST, 3]
-    h_u = p_i_cell * (rec.alpha_face[1:] - rec.alpha_face[:-1]) / dx
-    h_e = p_i_cell * (rec.phi_alpha_face[1:] - rec.phi_alpha_face[:-1]) / dx
-    out[:, 2] += dt * h_u
-    out[:, 5] -= dt * h_u
-    out[:, 3] += dt * h_e
-    out[:, 6] -= dt * h_e
-    # budgets on the conservative combinations: phase masses, mixture
-    # momentum and mixture energy (the H-terms cancel pairwise)
-    def total(u):
+        v, phi = _tp.local_state_and_flux(we, w[:, 3], eos1, eos2)
+        return v[:, _PHI_TO_CONS], phi[:, _PHI_TO_CONS]
+
+    def max_speed(w):
+        c2 = _eos.sound_speed(eos2, w[..., 4], w[..., 6])
+        return float(np.max(np.maximum(np.abs(w[..., 2]),
+                                       np.abs(w[..., 5]) + c2)))
+
+    def totals(u):
+        # phase masses, mixture momentum and mixture energy: the H-terms
+        # cancel pairwise in these combinations
         return np.array([np.sum(u[:, 1]), np.sum(u[:, 4]),
                          np.sum(u[:, 2] + u[:, 5]),
                          np.sum(u[:, 3] + u[:, 6])])
-    fb = np.array([f[:, 1], f[:, 4], f[:, 2] + f[:, 5], f[:, 3] + f[:, 6]])
-    budget = total(out) - total(u_int) + dt / dx * (fb[:, -1] - fb[:, 0])
-    _tp.tp_prim_from_cons(out, eos1, eos2, clamp_stats)  # admissibility
-    extras = {"fallbacks": getattr(rec, "n_fallback", 0)}
-    return out, budget, extras
+
+    def increment(out, w, rec, dt, dx):
+        # non-conservative terms with cell-centered interfacial pressure
+        p_i_cell = w[:, 3]
+        h_u = p_i_cell * (rec.alpha_face[1:] - rec.alpha_face[:-1]) / dx
+        h_e = p_i_cell * (rec.phi_alpha_face[1:]
+                          - rec.phi_alpha_face[:-1]) / dx
+        out[:, 2] += dt * h_u
+        out[:, 5] -= dt * h_u
+        out[:, 3] += dt * h_e
+        out[:, 6] -= dt * h_e
+
+    def sources(u, dt):
+        if case.drag_model == "constant" and case.drag_lambda > 0.0:
+            u = _relax.velocity_relax(u, case.drag_lambda, dt)
+        elif case.drag_model == "clift-gauvin":
+            u = _relax.drag_clift_gauvin(u, case.drag_radius, case.drag_mu2,
+                                         dt)
+        if case.pressure_relax:
+            u, _ = _relax.pressure_relax_stiff(u, eos1, eos2)
+        return u
+
+    return _Model(
+        velocity_slots=(2, 5),
+        to_cons=lambda w: _tp.tp_cons_from_prim(w, eos1, eos2),
+        to_prim=lambda u: _tp.tp_prim_from_cons(u, eos1, eos2),
+        edge=edge, flux=_tp_flux_fn(case.solver, eos1, eos2, case.beta),
+        max_speed=max_speed, totals=totals, increment=increment,
+        clamps=_tp.alpha_clamps,
+        sources=sources if case.pressure_relax or case.drag_model != "none"
+        else None)
 
 
 # ---------------------------------------------------------------------------
-# Time loop
+# MUSCL-Hancock step and time loop
 # ---------------------------------------------------------------------------
+
+def _predict(model, wg, half_lam):
+    """Minmod-limited edge states of the ghosted primitives ``wg``,
+    advanced by half a step with the model's predictor flux: (wm, wp)."""
+    dw = np.zeros_like(wg)
+    dw[1:-1] = minmod(wg[1:-1] - wg[:-2], wg[2:] - wg[1:-1])
+    um, fm = model.edge(wg - 0.5 * dw, wg)
+    up, fp = model.edge(wg + 0.5 * dw, wg)
+    dfl = np.subtract(fp, fm, out=fm)
+    dfl *= half_lam
+    um -= dfl
+    up -= dfl
+    return model.to_prim(um), model.to_prim(up)
+
+
+def _defect(totals, u0, u1, f, lam):
+    """Relative conservation defect of the update u0 -> u1 with interface
+    fluxes f and lam = dt/dx."""
+    budget = totals(u1) - totals(u0) + lam * (totals(f[-1:]) - totals(f[:1]))
+    denom = totals(np.abs(u1))
+    # momentum can sum to ~0 at rest; floor it with the
+    # dimensionally matching scale sqrt(mass * energy)
+    denom[-2] = max(denom[-2], np.sqrt(sum(denom[:-2]) * denom[-1]))
+    return float(np.max(np.abs(budget) / denom))
+
+
+def _step(model, u, w, dt, dx, bc, first_order):
+    """Advance conserved cells ``u`` with primitives ``w`` by ``dt``.
+
+    Ghost cells are filled on the primitives: a reflective wall only
+    negates the velocity slots, so this equals recovering primitives from
+    ghosted conserved states.  Returns (u_new, w_new, conservation defect,
+    positivity fallbacks, alpha clamps); w_new is the end-of-step recovery
+    that also checks u_new for admissibility.
+    """
+    wg = apply_boundary(w, bc, model.velocity_slots)
+    wm = wp = wg  # left and right edge of each cell
+    if not first_order:
+        wm, wp = _predict(model, wg, 0.5 * dt / dx)
+    # faces j: between cells j+1 and j+2, j = 0..n
+    rec = model.flux(wp[1:-2], wm[2:-1])
+    f = getattr(rec, "f_flux", rec)
+    lam = dt / dx
+    out = u - lam * (f[1:] - f[:-1])
+    if model.increment is not None:
+        model.increment(out, w, rec, dt, dx)
+    w_out = model.to_prim(out)
+    clamps = model.clamps(out) if model.clamps is not None else 0
+    return (out, w_out, _defect(model.totals, u, out, f, lam),
+            getattr(rec, "n_fallback", 0), clamps)
+
 
 def run(case):
     """Integrate a CaseConfig to its end time.
@@ -238,91 +284,32 @@ def run(case):
     mesh = Mesh1D(case.x_min, case.x_max, case.n_cells)
     dx = mesh.dx
     first_order = case.limiter == "none"
-    clamp_stats = {"alpha": 0}
     t_wall = _time.perf_counter()
-
-    if case.model == "euler":
-        eos = case.eos1
-        w0 = np.where((mesh.centers < case.x_disc)[:, None],
-                      np.asarray(case.left, float)[None, :],
-                      np.asarray(case.right, float)[None, :])
-        u = _euler.cons_from_prim(w0, eos)
-        flux_fn = _euler_flux_fn(case.solver, eos, case.beta)
-
-        def one_step(uu, dt):
-            return _euler_step(uu, eos, flux_fn, dt, dx, case.boundary,
-                               first_order)
-
-        def max_speed(uu):
-            return _max_speed_euler(_euler.prim_from_cons(uu, eos), eos)
-
-        def to_prim(uu):
-            return _euler.prim_from_cons(uu, eos)
-
-        def budget_defect(budget, uu):
-            denom = np.sum(np.abs(uu), axis=0)
-            # momentum can sum to ~0 at rest; floor it with the
-            # dimensionally matching scale sqrt(mass * energy)
-            denom[1] = max(denom[1], np.sqrt(denom[0] * denom[2]))
-            return float(np.max(np.abs(budget) / denom))
-
-        apply_sources = None
-    else:
-        eos1, eos2 = case.eos1, case.eos2
-        w0 = np.where((mesh.centers < case.x_disc)[:, None],
-                      np.asarray(case.left, float)[None, :],
-                      np.asarray(case.right, float)[None, :])
-        u = _tp.tp_cons_from_prim(w0, eos1, eos2)
-        flux_fn = _tp_flux_fn(case.solver, eos1, eos2, case.beta)
-
-        def one_step(uu, dt):
-            return _tp_step(uu, eos1, eos2, flux_fn, dt, dx, case.boundary,
-                            first_order, clamp_stats)
-
-        def max_speed(uu):
-            return _max_speed_twophase(
-                _tp.tp_prim_from_cons(uu, eos1, eos2), eos2)
-
-        def to_prim(uu):
-            return _tp.tp_prim_from_cons(uu, eos1, eos2)
-
-        def budget_defect(budget, uu):
-            denom = np.array([
-                np.sum(np.abs(uu[:, 1])), np.sum(np.abs(uu[:, 4])),
-                np.sum(np.abs(uu[:, 2]) + np.abs(uu[:, 5])),
-                np.sum(np.abs(uu[:, 3]) + np.abs(uu[:, 6]))])
-            denom[2] = max(denom[2],
-                           np.sqrt((denom[0] + denom[1]) * denom[3]))
-            return float(np.max(np.abs(budget) / denom))
-
-        def apply_sources(uu, dt):
-            if case.drag_model == "constant" and case.drag_lambda > 0.0:
-                uu = _relax.velocity_relax(uu, case.drag_lambda, dt)
-            elif case.drag_model == "clift-gauvin":
-                uu = _relax.drag_clift_gauvin(uu, case.drag_radius,
-                                              case.drag_mu2, dt)
-            if case.pressure_relax:
-                uu, _ = _relax.pressure_relax_stiff(uu, eos1, eos2)
-            return uu
+    model = _euler_model(case) if case.model == "euler" else _tp_model(case)
+    w0 = np.where((mesh.centers < case.x_disc)[:, None],
+                  np.asarray(case.left, float)[None, :],
+                  np.asarray(case.right, float)[None, :])
+    u = model.to_cons(w0)
+    w = model.to_prim(u)
 
     out_times = sorted(set(list(case.output_times) + [case.end_time]))
     snapshots = []
     t = 0.0
     step = 0
     max_defect = 0.0
-    n_fallback = 0
-    n_reject = 0
+    n_fallback = n_clamp = n_reject = 0
     if 0.0 in out_times:
-        snapshots.append((0.0, to_prim(u)))
+        snapshots.append((0.0, w))
         out_times = [x for x in out_times if x > 0.0]
 
     for t_out in out_times:
         while t < t_out * (1.0 - 1e-14):
-            dt = cfl_dt(max_speed(u), dx, case.cfl)
+            dt = cfl_dt(model.max_speed(w), dx, case.cfl)
             dt = min(dt, t_out - t)  # land exactly on output times
             for attempt in range(12):
                 try:
-                    u_new, budget, extras = one_step(u, dt)
+                    u_new, w_new, defect, fallbacks, clamps = _step(
+                        model, u, w, dt, dx, case.boundary, first_order)
                     break
                 except (EosDomainError, PositivityError,
                         DegenerateFanError) as err:
@@ -332,14 +319,16 @@ def run(case):
                         raise StepError(
                             f"step {step} rejected repeatedly at t = {t!r}: "
                             f"{err}") from err
-            max_defect = max(max_defect, budget_defect(budget, u_new))
-            n_fallback += extras.get("fallbacks", 0)
-            if apply_sources is not None:
-                u_new = apply_sources(u_new, dt)
-            u = u_new
+            max_defect = max(max_defect, defect)
+            n_fallback += fallbacks
+            n_clamp += clamps
+            if model.sources is not None:
+                u_new = model.sources(u_new, dt)
+                w_new = model.to_prim(u_new)
+            u, w = u_new, w_new
             t += dt
             step += 1
-        snapshots.append((t_out, to_prim(u)))
+        snapshots.append((t_out, w))
 
     manifest = {
         "model": case.model,
@@ -353,7 +342,7 @@ def run(case):
         "wall_time": _time.perf_counter() - t_wall,
         "max_conservation_defect": max_defect,
         "positivity_fallbacks": n_fallback,
-        "alpha_clamps": clamp_stats["alpha"],
+        "alpha_clamps": n_clamp,
         "dt_rejections": n_reject,
     }
     return RunResult(mesh=mesh, snapshots=snapshots, manifest=manifest,

@@ -77,19 +77,25 @@ def _covolume_factor(eos, rho):
     """1 - rho*b, raising if the covolume saturates."""
     rho = np.asarray(rho, dtype=float)
     fac = 1.0 - rho * eos.b
-    if np.any(fac <= 0.0):
-        bad = np.asarray(rho)[np.asarray(fac) <= 0.0]
+    bad = fac <= 0.0
+    if bad.any():
         raise EosDomainError(
-            f"covolume saturation: 1 - rho*b <= 0 at rho = {np.max(bad)!r}"
+            f"covolume saturation: 1 - rho*b <= 0 at rho = "
+            f"{float(np.max(rho[bad]))!r}"
         )
     return fac
 
 
+# With b = 0 the covolume factor is exactly 1, so the functions below skip
+# it: its check cannot fire and multiplying or dividing by 1.0 is exact.
+
 def pressure(eos, rho, e):
     """Pressure from density and specific internal energy [Pa]."""
-    fac = _covolume_factor(eos, rho)
-    return (eos.gamma - 1.0) * np.asarray(rho, float) * np.asarray(e, float) / fac \
-        - eos.gamma * eos.p_inf
+    rho = np.asarray(rho, float)
+    p = (eos.gamma - 1.0) * rho * np.asarray(e, float)
+    if eos.b:
+        p = p / _covolume_factor(eos, rho)
+    return p - eos.gamma * eos.p_inf
 
 
 def internal_energy(eos, rho, p):
@@ -97,20 +103,22 @@ def internal_energy(eos, rho, p):
 
     Exact analytic inverse of :func:`pressure`.
     """
-    fac = _covolume_factor(eos, rho)
-    return (np.asarray(p, float) + eos.gamma * eos.p_inf) * fac \
-        / ((eos.gamma - 1.0) * np.asarray(rho, float))
+    rho = np.asarray(rho, float)
+    num = np.asarray(p, float) + eos.gamma * eos.p_inf
+    if eos.b:
+        num = num * _covolume_factor(eos, rho)
+    return num / ((eos.gamma - 1.0) * rho)
 
 
 def sound_speed(eos, rho, p):
     """Speed of sound [m/s]; NASG gets the extra 1/(1 - rho b) factor."""
-    fac = _covolume_factor(eos, rho)
     rho = np.asarray(rho, float)
-    c2 = eos.gamma * (np.asarray(p, float) + eos.p_inf) / (rho * fac)
-    if np.any(c2 <= 0.0):
+    den = rho * _covolume_factor(eos, rho) if eos.b else rho
+    c2 = eos.gamma * (np.asarray(p, float) + eos.p_inf) / den
+    if (c2 <= 0.0).any():
         raise EosDomainError(
-            f"non-positive squared sound speed (min c^2 = {np.min(c2)!r}); "
-            "state outside convexity region"
+            f"non-positive squared sound speed (min c^2 = "
+            f"{float(np.min(c2))!r}); state outside convexity region"
         )
     return np.sqrt(c2)
 
@@ -127,5 +135,6 @@ def entropy(eos, rho, p):
     v = 1.0 / rho - eos.b
     pi = np.asarray(p, float) + eos.p_inf
     if np.any(pi <= 0.0):
-        raise EosDomainError(f"p + p_inf must be positive (min {np.min(pi)!r})")
+        raise EosDomainError(
+            f"p + p_inf must be positive (min {float(np.min(pi))!r})")
     return eos.cv * (np.log(pi) + eos.gamma * np.log(v))

@@ -26,6 +26,7 @@ __all__ = [
     "cons_from_prim",
     "prim_from_cons",
     "physical_flux",
+    "cons_and_flux",
     "davis_wave_speeds",
     "hll_state",
     "contact_speed",
@@ -69,39 +70,57 @@ class EulerFan:
     flux: np.ndarray
 
 
-def cons_from_prim(w, eos):
-    """(rho, u, p) -> (rho, rho u, rho E) with E = e + u^2/2."""
+def _stack_last(columns):
+    """Stack equally shaped arrays along a new trailing axis."""
+    out = np.empty(np.shape(columns[0]) + (len(columns),))
+    for k, col in enumerate(columns):
+        out[..., k] = col
+    return out
+
+
+def _cons_terms(w, eos):
+    """(rho, u, p, rho u, rho E) of primitive states."""
     w = np.asarray(w, dtype=float)
     rho, u, p = w[..., 0], w[..., 1], w[..., 2]
-    if np.any(rho <= 0.0):
-        raise EosDomainError(f"non-positive density (min {np.min(rho)!r})")
+    if (rho <= 0.0).any():
+        raise EosDomainError(f"non-positive density (min {float(np.min(rho))!r})")
     e = _eos.internal_energy(eos, rho, p)
-    return np.stack([rho, rho * u, rho * (e + 0.5 * u * u)], axis=-1)
+    return rho, u, p, rho * u, rho * (e + 0.5 * u * u)
+
+
+def cons_from_prim(w, eos):
+    """(rho, u, p) -> (rho, rho u, rho E) with E = e + u^2/2."""
+    rho, _, _, ru, etot = _cons_terms(w, eos)
+    return _stack_last((rho, ru, etot))
 
 
 def prim_from_cons(uc, eos):
     """Inverse of :func:`cons_from_prim`."""
     uc = np.asarray(uc, dtype=float)
     rho = uc[..., 0]
-    if np.any(rho <= 0.0):
-        raise EosDomainError(f"non-positive density (min {np.min(rho)!r})")
+    if (rho <= 0.0).any():
+        raise EosDomainError(f"non-positive density (min {float(np.min(rho))!r})")
     u = uc[..., 1] / rho
     e = uc[..., 2] / rho - 0.5 * u * u
     p = _eos.pressure(eos, rho, e)
-    if np.any(p + eos.p_inf <= 0.0):
+    if (p + eos.p_inf <= 0.0).any():
         raise EosDomainError(
-            f"recovered pressure below -p_inf (min p = {np.min(p)!r})"
+            f"recovered pressure below -p_inf (min p = {float(np.min(p))!r})"
         )
-    return np.stack([rho, u, p], axis=-1)
+    return _stack_last((rho, u, p))
 
 
 def physical_flux(w, eos):
     """F(U) = (rho u, rho u^2 + p, (rho E + p) u)."""
-    w = np.asarray(w, dtype=float)
-    rho, u, p = w[..., 0], w[..., 1], w[..., 2]
-    e = _eos.internal_energy(eos, rho, p)
-    etot = rho * (e + 0.5 * u * u)
-    return np.stack([rho * u, rho * u * u + p, (etot + p) * u], axis=-1)
+    return cons_and_flux(w, eos)[1]
+
+
+def cons_and_flux(w, eos):
+    """(:func:`cons_from_prim`, :func:`physical_flux`) of primitive states,
+    sharing one internal-energy evaluation."""
+    rho, u, p, ru, etot = _cons_terms(w, eos)
+    return (_stack_last((rho, ru, etot)),
+            _stack_last((ru, ru * u + p, (etot + p) * u)))
 
 
 def davis_wave_speeds(wl, wr, eos):
@@ -119,7 +138,7 @@ def davis_wave_speeds(wl, wr, eos):
 
 
 def _check_fan(s_l, s_r):
-    if np.any(s_r - s_l <= 0.0):
+    if (np.subtract(s_r, s_l) <= 0.0).any():
         raise DegenerateFanError("degenerate fan: S_L >= S_R")
 
 
@@ -145,7 +164,7 @@ def contact_speed(wl, wr, s_l, s_r):
     ml = rho_l * (s_l - u_l)
     mr = rho_r * (s_r - u_r)
     den = ml - mr
-    if np.any(den == 0.0):
+    if (den == 0.0).any():
         raise DegenerateFanError("vanishing denominator in contact speed")
     return (p_r - p_l + u_l * ml - u_r * mr) / den
 
@@ -157,10 +176,8 @@ def rusanov_flux(wl, wr, eos):
     cl = _eos.sound_speed(eos, wl[..., 0], wl[..., 2])
     cr = _eos.sound_speed(eos, wr[..., 0], wr[..., 2])
     s = np.maximum(np.abs(wl[..., 1]) + cl, np.abs(wr[..., 1]) + cr)[..., None]
-    fl = physical_flux(wl, eos)
-    fr = physical_flux(wr, eos)
-    ul = cons_from_prim(wl, eos)
-    ur = cons_from_prim(wr, eos)
+    ul, fl = cons_and_flux(wl, eos)
+    ur, fr = cons_and_flux(wr, eos)
     return 0.5 * (fr + fl - s * (ur - ul))
 
 
@@ -180,10 +197,8 @@ def _fan_common(wl, wr, eos):
     wr = np.asarray(wr, float)
     s_l, s_r = davis_wave_speeds(wl, wr, eos)
     _check_fan(s_l, s_r)
-    ul = cons_from_prim(wl, eos)
-    ur = cons_from_prim(wr, eos)
-    fl = physical_flux(wl, eos)
-    fr = physical_flux(wr, eos)
+    ul, fl = cons_and_flux(wl, eos)
+    ur, fr = cons_and_flux(wr, eos)
     u_hll = hll_state(ul, ur, fl, fr, s_l, s_r)
     s_m = contact_speed(wl, wr, s_l, s_r)
     return wl, wr, ul, ur, fl, fr, u_hll, s_l, s_m, s_r
@@ -248,8 +263,7 @@ def rsir_flux(wl, wr, eos, beta):
     cr2 = eos.gamma * (wr[..., 2] + eos.p_inf) / wr[..., 0]
     cbar2 = 0.5 * (cl2 + cr2)
     psi = beta * (wr[..., 0] - wl[..., 0] + (wl[..., 2] - wr[..., 2]) / cbar2)
-    lam = np.stack([np.ones_like(s_m), s_m, 0.5 * s_m * s_m], axis=-1)
-    jump = psi[..., None] * lam
+    jump = _stack_last((psi, psi * s_m, psi * (0.5 * s_m * s_m)))
     u_star_l = u_hll - om_r[..., None] * jump
     u_star_r = u_hll + om_l[..., None] * jump
     return _build_fan(ul, ur, fl, fr, u_star_l, u_star_r, s_l, s_m, s_r, beta)
@@ -276,15 +290,16 @@ def rsir_flux_general(wl, wr, eos, beta):
     psi_rho = beta * (rho_r - rho_l + (p_l - p_r) / cbar2)
     rho_star_l = u_hll[..., 0] - om_r * psi_rho
     rho_star_r = u_hll[..., 0] + om_l * psi_rho
-    if np.any(rho_star_l <= 0.0) or np.any(rho_star_r <= 0.0):
+    if (rho_star_l <= 0.0).any() or (rho_star_r <= 0.0).any():
         raise PositivityError("non-positive reconstructed star density")
     # Contact pressure: average of the two quasi-isentropic estimates.
     p_star = 0.5 * (p_l + cl * cl * (rho_star_l - rho_l)
                     + p_r + cr * cr * (rho_star_r - rho_r))
-    if np.any(p_star + eos.p_inf <= 0.0):
+    if (p_star + eos.p_inf <= 0.0).any():
         bad = np.argmin(p_star + eos.p_inf)
         raise PositivityError(
-            f"star pressure below -p_inf at interface {bad} (p* = {np.min(p_star)!r})"
+            f"star pressure below -p_inf at interface {bad} "
+            f"(p* = {float(np.min(p_star))!r})"
         )
     try:
         e_star_l = _eos.internal_energy(eos, rho_star_l, p_star)
@@ -293,7 +308,7 @@ def rsir_flux_general(wl, wr, eos, beta):
         raise PositivityError(f"inadmissible star state: {err}") from err
     psi_e = (rho_star_r * e_star_r - rho_star_l * e_star_l
              + psi_rho * 0.5 * s_m * s_m)
-    jump = np.stack([psi_rho, psi_rho * s_m, psi_e], axis=-1)
+    jump = _stack_last((psi_rho, psi_rho * s_m, psi_e))
     u_star_l = u_hll - om_r[..., None] * jump
     u_star_r = u_hll + om_l[..., None] * jump
     return _build_fan(ul, ur, fl, fr, u_star_l, u_star_r, s_l, s_m, s_r, beta)
@@ -307,8 +322,7 @@ def hllc_flux(wl, wr, eos):
         rho, u, p = w[..., 0], w[..., 1], w[..., 2]
         fac = rho * (s - u) / (s - s_m)
         energy = uc[..., 2] / rho + (s_m - u) * (s_m + p / (rho * (s - u)))
-        return fac[..., None] * np.stack(
-            [np.ones_like(s_m), s_m, energy], axis=-1)
+        return _stack_last((fac, fac * s_m, fac * energy))
 
     u_star_l = star(wl, ul, s_l)
     u_star_r = star(wr, ur, s_r)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eos as _eos
-from .euler import DegenerateFanError, PositivityError
+from .euler import DegenerateFanError, PositivityError, _stack_last
 
 __all__ = [
     "ALPHA_FLOOR",
@@ -28,9 +28,11 @@ __all__ = [
     "TwoPhaseFan",
     "tp_cons_from_prim",
     "tp_prim_from_cons",
+    "alpha_clamps",
     "interfacial_pressure",
     "local_state",
     "local_flux",
+    "local_state_and_flux",
     "phys_flux",
     "tp_wave_bounds",
     "rusanov_speed",
@@ -80,46 +82,51 @@ class TwoPhaseFan(TwoPhaseFaceFlux):
     n_fallback: int = 0
 
 
-def tp_cons_from_prim(w, eos1, eos2):
+def _phase_terms(w, eos1, eos2):
+    """Pieces shared by the conserved state and the fluxes of primitive
+    states, with one internal-energy evaluation per phase: (a1, a2, u1,
+    u2, p1, p2, (ar)1, (ar)2, (aru)1, (aru)2, (arE)1, (arE)2)."""
     w = np.asarray(w, dtype=float)
     a1 = w[..., 0]
-    if np.any((a1 <= 0.0) | (a1 >= 1.0)):
+    if ((a1 <= 0.0) | (a1 >= 1.0)).any():
         raise PositivityError(
             f"alpha1 must lie strictly inside (0,1), got extrema "
-            f"[{np.min(a1)!r}, {np.max(a1)!r}]"
+            f"[{float(np.min(a1))!r}, {float(np.max(a1))!r}]"
         )
     a2 = 1.0 - a1
     rho1, u1, p1 = w[..., 1], w[..., 2], w[..., 3]
     rho2, u2, p2 = w[..., 4], w[..., 5], w[..., 6]
-    e1 = _eos.internal_energy(eos1, rho1, p1)
-    e2 = _eos.internal_energy(eos2, rho2, p2)
-    return np.stack([
-        a1,
-        a1 * rho1,
-        a1 * rho1 * u1,
-        a1 * rho1 * (e1 + 0.5 * u1 * u1),
-        a2 * rho2,
-        a2 * rho2 * u2,
-        a2 * rho2 * (e2 + 0.5 * u2 * u2),
-    ], axis=-1)
+    m1 = a1 * rho1
+    m2 = a2 * rho2
+    en1 = m1 * (_eos.internal_energy(eos1, rho1, p1) + 0.5 * u1 * u1)
+    en2 = m2 * (_eos.internal_energy(eos2, rho2, p2) + 0.5 * u2 * u2)
+    return a1, a2, u1, u2, p1, p2, m1, m2, m1 * u1, m2 * u2, en1, en2
 
 
-def tp_prim_from_cons(uc, eos1, eos2, clamp_stats=None):
-    """Recover primitives; alpha1 is clamped to [floor, 1-floor] with the
-    clamp count reported through ``clamp_stats`` (a dict with key 'alpha')."""
+def tp_cons_from_prim(w, eos1, eos2):
+    a1, _, _, _, _, _, m1, m2, q1, q2, en1, en2 = _phase_terms(w, eos1, eos2)
+    return _stack_last((a1, m1, q1, en1, m2, q2, en2))
+
+
+def alpha_clamps(uc):
+    """Number of states whose alpha1 :func:`tp_prim_from_cons` clamps to
+    [floor, 1-floor]."""
+    a1 = np.asarray(uc, dtype=float)[..., 0]
+    return int(np.count_nonzero((a1 < ALPHA_FLOOR) | (a1 > 1.0 - ALPHA_FLOOR)))
+
+
+def tp_prim_from_cons(uc, eos1, eos2):
+    """Recover primitives; alpha1 is clamped to [floor, 1-floor] (count
+    the clamps with :func:`alpha_clamps`)."""
     uc = np.asarray(uc, dtype=float)
-    a1 = uc[..., 0]
-    clamped = np.count_nonzero((a1 < ALPHA_FLOOR) | (a1 > 1.0 - ALPHA_FLOOR))
-    if clamp_stats is not None:
-        clamp_stats["alpha"] = clamp_stats.get("alpha", 0) + int(clamped)
-    a1 = np.clip(a1, ALPHA_FLOOR, 1.0 - ALPHA_FLOOR)
+    a1 = np.clip(uc[..., 0], ALPHA_FLOOR, 1.0 - ALPHA_FLOOR)
     a2 = 1.0 - a1
     m1, q1, en1 = uc[..., 1], uc[..., 2], uc[..., 3]
     m2, q2, en2 = uc[..., 4], uc[..., 5], uc[..., 6]
-    if np.any(m1 <= 0.0) or np.any(m2 <= 0.0):
+    if (m1 <= 0.0).any() or (m2 <= 0.0).any():
         raise PositivityError(
-            f"non-positive apparent density (min phase1 {np.min(m1)!r}, "
-            f"phase2 {np.min(m2)!r})"
+            f"non-positive apparent density (min phase1 "
+            f"{float(np.min(m1))!r}, phase2 {float(np.min(m2))!r})"
         )
     rho1 = m1 / a1
     rho2 = m2 / a2
@@ -129,12 +136,12 @@ def tp_prim_from_cons(uc, eos1, eos2, clamp_stats=None):
     e2 = en2 / m2 - 0.5 * u2 * u2
     p1 = _eos.pressure(eos1, rho1, e1)
     p2 = _eos.pressure(eos2, rho2, e2)
-    if np.any(p1 + eos1.p_inf <= 0.0) or np.any(p2 + eos2.p_inf <= 0.0):
+    if (p1 + eos1.p_inf <= 0.0).any() or (p2 + eos2.p_inf <= 0.0).any():
         raise PositivityError(
-            f"recovered phase pressure below -p_inf (min p1 {np.min(p1)!r}, "
-            f"min p2 {np.min(p2)!r})"
+            f"recovered phase pressure below -p_inf (min p1 "
+            f"{float(np.min(p1))!r}, min p2 {float(np.min(p2))!r})"
         )
-    return np.stack([a1, rho1, u1, p1, rho2, u2, p2], axis=-1)
+    return _stack_last((a1, rho1, u1, p1, rho2, u2, p2))
 
 
 def interfacial_pressure(wl, wr):
@@ -157,48 +164,29 @@ def local_state(uc):
 
 def local_flux(w, p_i, eos1, eos2):
     """Flux of the locally conservative system for frozen p_i (8 slots)."""
-    w = np.asarray(w, dtype=float)
+    return local_state_and_flux(w, p_i, eos1, eos2)[1]
+
+
+def local_state_and_flux(w, p_i, eos1, eos2):
+    """``local_state(tp_cons_from_prim(w))`` and ``local_flux(w, p_i)``,
+    sharing one internal-energy evaluation per phase."""
+    (a1, a2, u1, u2, p1, p2,
+     m1, m2, q1, q2, en1, en2) = _phase_terms(w, eos1, eos2)
     p_i = np.asarray(p_i, dtype=float)
-    a1 = w[..., 0]
-    a2 = 1.0 - a1
-    rho1, u1, p1 = w[..., 1], w[..., 2], w[..., 3]
-    rho2, u2, p2 = w[..., 4], w[..., 5], w[..., 6]
-    e1 = _eos.internal_energy(eos1, rho1, p1)
-    e2 = _eos.internal_energy(eos2, rho2, p2)
-    en1 = a1 * rho1 * (e1 + 0.5 * u1 * u1)
-    en2 = a2 * rho2 * (e2 + 0.5 * u2 * u2)
-    return np.stack([
-        a1 * u1,
-        a1 * rho1 * u1,
-        a1 * rho1 * u1 * u1 + a1 * (p1 - p_i),
-        (en1 + a1 * (p1 - p_i)) * u1,
-        -a1 * u1,
-        a2 * rho2 * u2,
-        a2 * rho2 * u2 * u2 + a2 * (p2 - p_i),
-        (en2 + a2 * p2) * u2 + p_i * a1 * u1,
-    ], axis=-1)
+    au1 = a1 * u1
+    return (_stack_last((a1, m1, q1, en1, a2, m2, q2, en2)),
+            _stack_last((au1, q1, q1 * u1 + a1 * (p1 - p_i),
+                         (en1 + a1 * (p1 - p_i)) * u1, -au1, q2,
+                         q2 * u2 + a2 * (p2 - p_i),
+                         (en2 + a2 * p2) * u2 + p_i * a1 * u1)))
 
 
 def phys_flux(w, eos1, eos2):
     """Flux F of the non-conservative formulation (7 slots)."""
-    w = np.asarray(w, dtype=float)
-    a1 = w[..., 0]
-    a2 = 1.0 - a1
-    rho1, u1, p1 = w[..., 1], w[..., 2], w[..., 3]
-    rho2, u2, p2 = w[..., 4], w[..., 5], w[..., 6]
-    e1 = _eos.internal_energy(eos1, rho1, p1)
-    e2 = _eos.internal_energy(eos2, rho2, p2)
-    en1 = a1 * rho1 * (e1 + 0.5 * u1 * u1)
-    en2 = a2 * rho2 * (e2 + 0.5 * u2 * u2)
-    return np.stack([
-        a1 * u1,
-        a1 * rho1 * u1,
-        a1 * rho1 * u1 * u1 + a1 * p1,
-        (en1 + a1 * p1) * u1,
-        a2 * rho2 * u2,
-        a2 * rho2 * u2 * u2 + a2 * p2,
-        (en2 + a2 * p2) * u2,
-    ], axis=-1)
+    a1, a2, u1, u2, p1, p2, _, _, q1, q2, en1, en2 = _phase_terms(
+        w, eos1, eos2)
+    return _stack_last((a1 * u1, q1, q1 * u1 + a1 * p1, (en1 + a1 * p1) * u1,
+                        q2, q2 * u2 + a2 * p2, (en2 + a2 * p2) * u2))
 
 
 def _eigen_extrema(w, eos2):
@@ -254,10 +242,8 @@ def rusanov_local_flux(wl, wr, eos1, eos2):
     wr = np.asarray(wr, float)
     p_i = interfacial_pressure(wl, wr)
     s = rusanov_speed(wl, wr, eos2)
-    ul = local_state(tp_cons_from_prim(wl, eos1, eos2))
-    ur = local_state(tp_cons_from_prim(wr, eos1, eos2))
-    phil = local_flux(wl, p_i, eos1, eos2)
-    phir = local_flux(wr, p_i, eos1, eos2)
+    ul, phil = local_state_and_flux(wl, p_i, eos1, eos2)
+    ur, phir = local_state_and_flux(wr, p_i, eos1, eos2)
     phi_star = 0.5 * (phir + phil - s[..., None] * (ur - ul))
     # face volume fractions from the Rusanov intermediate state
     a1l, a1r = wl[..., 0], wr[..., 0]
@@ -265,7 +251,7 @@ def rusanov_local_flux(wl, wr, eos1, eos2):
     au1r = a1r * wr[..., 2]
     a1_star = 0.5 * (a1r + a1l - (au1r - au1l) / s)
     a2_star = 0.5 * ((1.0 - a1r) + (1.0 - a1l) - (-au1r + au1l) / s)
-    f = np.stack([
+    f = _stack_last((
         phi_star[..., 0],
         phi_star[..., 1],
         phi_star[..., 2] + p_i * a1_star,
@@ -273,7 +259,7 @@ def rusanov_local_flux(wl, wr, eos1, eos2):
         phi_star[..., 5],
         phi_star[..., 6] + p_i * a2_star,
         phi_star[..., 7] + p_i * phi_star[..., 4],
-    ], axis=-1)
+    ))
     return TwoPhaseFaceFlux(f_flux=f, alpha_face=a1_star,
                             phi_alpha_face=phi_star[..., 0], p_i=p_i)
 
@@ -284,14 +270,14 @@ def tp_hll_state(vl, vr, phil, phir, s_l, s_r):
 
     Returns (u_hll, s_m1, s_m2, rho2_bar).
     """
-    if np.any(s_r - s_l <= 0.0):
+    if (np.subtract(s_r, s_l) <= 0.0).any():
         raise DegenerateFanError("degenerate two-phase fan: S_L >= S_R")
     sl = np.asarray(s_l, float)[..., None]
     sr = np.asarray(s_r, float)[..., None]
     u_hll = (np.asarray(phir, float) - np.asarray(phil, float)
              + sl * np.asarray(vl, float) - sr * np.asarray(vr, float)) / (sl - sr)
     for slot, name in ((1, "phase 1"), (5, "phase 2")):
-        if np.any(u_hll[..., slot] <= 0.0):
+        if (u_hll[..., slot] <= 0.0).any():
             raise PositivityError(
                 f"non-positive HLL apparent density for {name}")
     s_m1 = u_hll[..., 2] / u_hll[..., 1]
@@ -386,7 +372,7 @@ def _tp_flux_from_fan(wl, wr, vl, vr, phil, phir, u_hll, u_star_l, u_star_r,
     phi_a1 = np.where(s_r <= 0.0, au1r, phi_a1)
 
     def f_from_phi(phi_star, phi_a1_side):
-        return np.stack([
+        return _stack_last((
             phi_star[..., 0],
             phi_star[..., 1],
             phi_star[..., 2] + p_i * a1_face,
@@ -394,7 +380,7 @@ def _tp_flux_from_fan(wl, wr, vl, vr, phil, phir, u_hll, u_star_l, u_star_r,
             phi_star[..., 5],
             phi_star[..., 6] + p_i * (1.0 - a1_face),
             phi_star[..., 7] - p_i * phi_a1_side,
-        ], axis=-1)
+        ))
 
     f_star_l = f_from_phi(phi_star_l, phi_star_l[..., 0])
     f_star_r = f_from_phi(phi_star_r, phi_star_r[..., 0])
@@ -417,10 +403,8 @@ def _tp_fan_common(wl, wr, eos1, eos2):
     wr = np.asarray(wr, float)
     s_l, s_r = tp_wave_bounds(wl, wr, eos2)
     p_i = interfacial_pressure(wl, wr)
-    vl = local_state(tp_cons_from_prim(wl, eos1, eos2))
-    vr = local_state(tp_cons_from_prim(wr, eos1, eos2))
-    phil = local_flux(wl, p_i, eos1, eos2)
-    phir = local_flux(wr, p_i, eos1, eos2)
+    vl, phil = local_state_and_flux(wl, p_i, eos1, eos2)
+    vr, phir = local_state_and_flux(wr, p_i, eos1, eos2)
     u_hll, s_m1, s_m2, rho2_bar = tp_hll_state(vl, vr, phil, phir, s_l, s_r)
     return wl, wr, vl, vr, phil, phir, u_hll, s_l, s_m1, s_m2, s_r, rho2_bar, p_i
 

@@ -83,3 +83,13 @@ def test_sweep_runs_each_value(capsys):
     assert code == 0
     lines = [ln for ln in out.splitlines() if ln and ln[0] in "01"]
     assert len(lines) == 3
+
+
+def test_run_failure_is_one_error_line(tmp_path, capsys):
+    code, _, err = run_cli(
+        ["run", "water-nasg-transport", "--set", "solver=linde",
+         "--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert err.startswith("error: StepError: step ")
+    assert err.count("\n") == 1
+    assert "np.float64" not in err

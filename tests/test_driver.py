@@ -5,7 +5,9 @@ from dataclasses import replace
 
 from rsir1d import cases, driver
 from rsir1d import eos as _eos
+from rsir1d import euler as _euler
 from rsir1d import exact_riemann as ex
+from rsir1d import twophase as tp
 
 
 def test_mesh_basics():
@@ -98,22 +100,22 @@ def test_periodic_advection_returns_home():
         x_min=0.0, x_max=1.0, n_cells=200, x_disc=0.5, eos1=eos,
         left=(1.0, 0.0, 1e5), right=(1.0, 0.0, 1e5), end_time=1e-2)
     mesh = driver.Mesh1D(0.0, 1.0, 200)
-    # run manually: build a bump initial condition and advect at u=100
+    # step manually: build a bump initial condition and advect at u=100
     w0 = np.stack([1.0 + 0.1 * np.exp(-200.0 * (mesh.centers - 0.5) ** 2),
                    np.full(200, 100.0), np.full(200, 1e5)], axis=-1)
-    from rsir1d import euler as _euler
-    u = _euler.cons_from_prim(w0, eos)
+    model = driver._euler_model(case)
+    u = model.to_cons(w0)
+    w = model.to_prim(u)
     dt_total = 1.0 / 100.0  # one period
     t = 0.0
-    flux = driver._euler_flux_fn("hllc", eos, 1.0)
     while t < dt_total * (1 - 1e-12):
-        w = _euler.prim_from_cons(u, eos)
-        dt = min(driver.cfl_dt(driver._max_speed_euler(w, eos),
-                               mesh.dx, 0.5), dt_total - t)
-        u, _, _ = driver._euler_step(u, eos, flux, dt, mesh.dx,
-                                     "periodic", False)
+        dt = min(driver.cfl_dt(model.max_speed(w), mesh.dx, 0.5),
+                 dt_total - t)
+        u, w, _, _, _ = driver._step(model, u, w, dt, mesh.dx, "periodic",
+                                     False)
         t += dt
-    w = _euler.prim_from_cons(u, eos)
+    # the carried primitives are the recovery of the final state
+    assert np.array_equal(w, model.to_prim(u))
     # the bump comes back (diffused but centered)
     assert np.argmax(w[:, 0]) == pytest.approx(100, abs=2)
 
@@ -157,3 +159,105 @@ def test_unknown_solver_raises():
     case.solver = "roe"
     with pytest.raises(ValueError):
         driver.run(case)
+
+
+def test_primitive_ghost_fill_equals_conserved_ghost_fill(rng):
+    """Ghost cells filled on primitives equal the recovery of ghosted
+    conserved states, bit for bit, for every boundary kind."""
+    eos = _eos.preset("air-ideal")
+    w = np.stack([rng.uniform(0.5, 2.0, 20), rng.uniform(-300, 300, 20),
+                  rng.uniform(1e4, 1e6, 20)], axis=-1)
+    u = _euler.cons_from_prim(w, eos)
+    w = _euler.prim_from_cons(u, eos)
+    for bc in ("transmissive", "reflective", "periodic"):
+        assert np.array_equal(
+            driver.apply_boundary(w, bc, (1,)),
+            _euler.prim_from_cons(driver.apply_boundary(u, bc, (1,)), eos))
+
+
+def test_alpha_clamps_count_once_per_cell_per_step():
+    """A uniform state at rest with alpha1 above 1 - floor stays
+    unchanged, so every cell is clamped in every step's final recovery and
+    in no other count."""
+    state = (1.0 - 1e-9, 1000.0, 0.0, 1e5, 1.0, 0.0, 1e5)
+    case = replace(cases.builtin_case("tp-alpha-rest"), left=state,
+                   right=state, n_cells=20, end_time=1e-4)
+    for limiter in ("minmod", "none"):
+        res = driver.run(replace(case, limiter=limiter))
+        m = res.manifest
+        assert m["steps"] > 0
+        assert m["alpha_clamps"] == case.n_cells * m["steps"]
+        assert np.all(res.snapshots[-1][1][:, 0] == 1.0 - tp.ALPHA_FLOOR)
+
+
+def test_snapshots_do_not_alias_the_final_state():
+    case = replace(cases.builtin_case("tp-shock-tube-long"), n_cells=100,
+                   output_times=(0.0, 6e-4))
+    res = driver.run(case)
+    ws = [w for _, w in res.snapshots]
+    assert len(ws) == 3
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(ws)
+                   for b in ws[i + 1:] + [res.final_cons])
+    assert not np.array_equal(ws[1], ws[2])
+    assert np.array_equal(ws[2], tp.tp_prim_from_cons(
+        res.final_cons, case.eos1, case.eos2))
+
+
+def _counted_calls_per_step(monkeypatch, case, targets):
+    """Calls per step of each (module, function) target, counted between
+    a run's first and last ``cfl_dt`` call (the call that opens a step);
+    each such window holds one step and the next wave-speed estimate."""
+    events = []
+
+    def counting(label, fn):
+        def wrapper(*args, **kwargs):
+            events.append(label)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in list(targets) + [(driver, "cfl_dt")]:
+        label = f"{module.__name__.rsplit('.', 1)[-1]}.{name}"
+        monkeypatch.setattr(module, name,
+                            counting(label, getattr(module, name)))
+    res = driver.run(case)
+    marks = [i for i, e in enumerate(events) if e == "driver.cfl_dt"]
+    assert len(marks) == res.manifest["steps"] > 2
+    assert res.manifest["dt_rejections"] == 0
+    window = events[marks[0]:marks[-1]]
+    per_step = {}
+    for e in window:
+        if e != "driver.cfl_dt":
+            per_step[e] = per_step.get(e, 0) + 1 / (len(marks) - 1)
+    return per_step
+
+
+EOS_FUNCTIONS = [(_eos, name) for name in
+                 ("pressure", "internal_energy", "sound_speed", "entropy")]
+
+
+def _eos_calls(per_step):
+    return sum(v for k, v in per_step.items() if k.startswith("eos."))
+
+
+def test_euler_step_converts_each_state_once(monkeypatch):
+    targets = [(_euler, "prim_from_cons")] + EOS_FUNCTIONS
+    case = replace(cases.builtin_case("euler-shock-tube"), solver="rsir")
+    per_step = _counted_calls_per_step(monkeypatch, case, targets)
+    assert per_step["euler.prim_from_cons"] == pytest.approx(3.0)
+    assert _eos_calls(per_step) == pytest.approx(10.0)
+
+
+def test_nasg_step_eos_calls(monkeypatch):
+    case = cases.builtin_case("water-nasg-shock-tube")
+    assert case.solver == "rsir" and case.eos1.b > 0.0
+    per_step = _counted_calls_per_step(monkeypatch, case, EOS_FUNCTIONS)
+    assert _eos_calls(per_step) == pytest.approx(14.0)
+
+
+def test_two_phase_step_recovers_primitives_at_most_four_times(monkeypatch):
+    case = replace(cases.builtin_case("tp-shock-tube-long"), n_cells=200,
+                   end_time=2e-4, output_times=())
+    assert case.pressure_relax
+    per_step = _counted_calls_per_step(
+        monkeypatch, case, [(tp, "tp_prim_from_cons")])
+    assert per_step["twophase.tp_prim_from_cons"] <= 4.0 + 1e-12

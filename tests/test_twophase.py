@@ -32,9 +32,9 @@ def test_alpha_clamp_counted():
     uc = tp.tp_cons_from_prim(
         np.array([0.5, 1000.0, 0.0, 1e5, 1.0, 0.0, 1e5]), WATER, AIR)
     uc[0] = 1e-12  # push below the floor
-    stats = {"alpha": 0}
-    tp.tp_prim_from_cons(uc, WATER, AIR, stats)
-    assert stats["alpha"] == 1
+    assert tp.alpha_clamps(uc) == 1
+    assert tp.tp_prim_from_cons(uc, WATER, AIR)[0] == tp.ALPHA_FLOOR
+    assert tp.alpha_clamps(np.stack([uc, uc, uc])) == 3
 
 
 def test_interfacial_pressure_upwind_rule():
