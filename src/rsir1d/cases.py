@@ -83,6 +83,11 @@ class CaseConfig:
         if self.model == "two-phase":
             if self.eos2 is None:
                 raise ConfigError("two-phase model needs eos2")
+            if (self.eos1.b or self.eos2.b) and (self.pressure_relax
+                                                 or self.solver == "rsir-tp"):
+                raise ConfigError(
+                    "pressure relaxation and solver rsir-tp need SG/ideal "
+                    "phases (covolume b = 0); a phase here is NASG")
             for side, st in (("left", self.left), ("right", self.right)):
                 if not 0.0 < st[0] < 1.0:
                     raise ConfigError(
@@ -126,8 +131,6 @@ def _eos_key(cfg_dict, which, key, value):
 
 
 def _build_eos(d):
-    if d is None:
-        return None
     if "preset" in d:
         base = _eos.preset(d["preset"])
         extra = {k: v for k, v in d.items() if k != "preset"}

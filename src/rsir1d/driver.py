@@ -72,7 +72,7 @@ def minmod(a, b):
 def apply_boundary(u_int, kind, velocity_slots):
     """Return the interior field extended by two ghost layers per side."""
     n, ncomp = u_int.shape
-    ug = np.empty((n + 2 * NGHOST, ncomp))
+    ug = _euler._component_major(np.empty((ncomp, n + 2 * NGHOST)))
     ug[NGHOST:-NGHOST] = u_int
     if kind == "transmissive":
         ug[0] = ug[1] = u_int[0]
@@ -172,8 +172,8 @@ def _tp_model(case):
     def edge(we, w):
         # predictor on the locally conservative flux with the cell's own
         # phase-1 pressure as frozen interfacial pressure
-        v, phi = _tp.local_state_and_flux(we, w[:, 3], eos1, eos2)
-        return v[:, _PHI_TO_CONS], phi[:, _PHI_TO_CONS]
+        v, phi = _tp.local_state_and_flux(we, w[..., 3], eos1, eos2)
+        return v[..., _PHI_TO_CONS], phi[..., _PHI_TO_CONS]
 
     def max_speed(w):
         c2 = _eos.sound_speed(eos2, w[..., 4], w[..., 6])
@@ -224,17 +224,22 @@ def _tp_model(case):
 # ---------------------------------------------------------------------------
 
 def _predict(model, wg, half_lam):
-    """Minmod-limited edge states of the ghosted primitives ``wg``,
-    advanced by half a step with the model's predictor flux: (wm, wp)."""
-    dw = np.zeros_like(wg)
-    dw[1:-1] = minmod(wg[1:-1] - wg[:-2], wg[2:] - wg[1:-1])
-    um, fm = model.edge(wg - 0.5 * dw, wg)
-    up, fp = model.edge(wg + 0.5 * dw, wg)
-    dfl = np.subtract(fp, fm, out=fm)
+    """Minmod-limited edge states (wm, wp) of the cells 1..n+2 of ``wg``,
+    advanced by half a step with the model's predictor flux; both edges
+    go through ``edge`` and ``to_prim`` as one (2, n+2, k) batch."""
+    d = wg[1:] - wg[:-1]
+    half = minmod(d[:-1], d[1:])
+    half *= 0.5
+    wc = wg[1:-1]
+    we = _euler._component_major(np.empty((wc.shape[-1], 2) + wc.shape[:-1]))
+    np.subtract(wc, half, out=we[0])
+    np.add(wc, half, out=we[1])
+    ue, fe = model.edge(we, wc)
+    dfl = np.subtract(fe[1], fe[0], out=fe[0])
     dfl *= half_lam
-    um -= dfl
-    up -= dfl
-    return model.to_prim(um), model.to_prim(up)
+    ue -= dfl
+    we = model.to_prim(ue)
+    return we[0], we[1]
 
 
 def _defect(totals, u0, u1, f, lam):
@@ -258,11 +263,11 @@ def _step(model, u, w, dt, dx, bc, first_order):
     that also checks u_new for admissibility.
     """
     wg = apply_boundary(w, bc, model.velocity_slots)
-    wm = wp = wg  # left and right edge of each cell
+    wm = wp = wg[1:-1]  # left and right edges of the ghosted cells 1..n+2
     if not first_order:
         wm, wp = _predict(model, wg, 0.5 * dt / dx)
-    # faces j: between cells j+1 and j+2, j = 0..n
-    rec = model.flux(wp[1:-2], wm[2:-1])
+    # faces j: between ghosted cells j+1 and j+2, j = 0..n
+    rec = model.flux(wp[:-1], wm[1:])
     f = getattr(rec, "f_flux", rec)
     lam = dt / dx
     out = u - lam * (f[1:] - f[:-1])

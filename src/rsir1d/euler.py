@@ -70,12 +70,15 @@ class EulerFan:
     flux: np.ndarray
 
 
+def _component_major(a):
+    """View ``a``, of shape (k,) + shape, as shape + (k,): the layout of
+    every state array, in which each component is one contiguous block."""
+    return a.T if a.ndim == 2 else a.transpose(*range(1, a.ndim), 0)
+
+
 def _stack_last(columns):
     """Stack equally shaped arrays along a new trailing axis."""
-    out = np.empty(np.shape(columns[0]) + (len(columns),))
-    for k, col in enumerate(columns):
-        out[..., k] = col
-    return out
+    return _component_major(np.array(columns, dtype=float))
 
 
 def _cons_terms(w, eos):
@@ -217,7 +220,7 @@ def hll_flux(wl, wr, eos):
     family: both star states equal U*_HLL, fluxes through the per-wave
     Rankine-Hugoniot relations, same sampling as the two-state solvers."""
     wl, wr, ul, ur, fl, fr, u_hll, s_l, s_m, s_r = _fan_common(wl, wr, eos)
-    return _build_fan(ul, ur, fl, fr, u_hll.copy(), u_hll.copy(),
+    return _build_fan(ul, ur, fl, fr, np.copy(u_hll), np.copy(u_hll),
                       s_l, s_m, s_r, 0.0)
 
 

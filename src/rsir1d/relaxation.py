@@ -132,7 +132,7 @@ def pressure_relax_stiff(uc, eos1, eos2):
     e1p = e1 - p_eq * (a1p / m1 - v1)
     e2p = e2 - p_eq * (a2p / m2 - v2)
 
-    out = uc.copy()
+    out = np.copy(uc)
     out[..., 0] = a1p
     out[..., 3] = m1 * (e1p + 0.5 * u1 * u1)
     out[..., 6] = m2 * (e2p + 0.5 * u2 * u2)
@@ -163,7 +163,7 @@ def _apply_velocity_update(uc, factor):
     du = (u2 - u1) * factor
     u1p = u_mix - m2 * du / (m1 + m2)
     u2p = u_mix + m1 * du / (m1 + m2)
-    out = uc.copy()
+    out = np.copy(uc)
     out[..., 2] = m1 * u1p
     out[..., 5] = m2 * u2p
     # phase 1 stays on its internal-energy level; phase 2 takes the rest
@@ -178,7 +178,7 @@ def velocity_relax(uc, lam, dt):
     if lam < 0.0:
         raise ValueError("drag coefficient lambda must be >= 0")
     if lam == 0.0 or dt == 0.0:
-        return np.asarray(uc, dtype=float).copy()
+        return np.array(uc, dtype=float, order="K")
     uc = np.asarray(uc, dtype=float)
     m1, m2 = uc[..., 1], uc[..., 4]
     factor = np.exp(-lam * dt * (1.0 / m1 + 1.0 / m2))
@@ -203,7 +203,7 @@ def drag_clift_gauvin(uc, radius, mu2, dt, n_sub=None):
     """
     if radius <= 0.0 or mu2 <= 0.0:
         raise ValueError("radius and viscosity must be positive")
-    uc = np.asarray(uc, dtype=float).copy()
+    uc = np.array(uc, dtype=float, order="K")
     a1 = uc[..., 0]
     remaining = dt
     steps = 0

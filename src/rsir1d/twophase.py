@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eos as _eos
-from .euler import DegenerateFanError, PositivityError, _stack_last
+from .euler import (DegenerateFanError, PositivityError, _component_major,
+                    _stack_last)
 
 __all__ = [
     "ALPHA_FLOOR",
@@ -183,8 +184,16 @@ def local_state_and_flux(w, p_i, eos1, eos2):
 
 def phys_flux(w, eos1, eos2):
     """Flux F of the non-conservative formulation (7 slots)."""
-    a1, a2, u1, u2, p1, p2, _, _, q1, q2, en1, en2 = _phase_terms(
-        w, eos1, eos2)
+    w = np.asarray(w, dtype=float)
+    uc = tp_cons_from_prim(w, eos1, eos2)
+    return _phys_flux_of(w, uc[..., 2], uc[..., 3], uc[..., 5], uc[..., 6])
+
+
+def _phys_flux_of(w, q1, en1, q2, en2):
+    """:func:`phys_flux` of primitive states ``w`` from their phase momenta
+    and total energies, which a conserved or local state already holds."""
+    a1, u1, p1 = w[..., 0], w[..., 2], w[..., 3]
+    a2, u2, p2 = 1.0 - a1, w[..., 5], w[..., 6]
     return _stack_last((a1 * u1, q1, q1 * u1 + a1 * p1, (en1 + a1 * p1) * u1,
                         q2, q2 * u2 + a2 * p2, (en2 + a2 * p2) * u2))
 
@@ -225,13 +234,23 @@ def rusanov_basic_flux(wl, wr, eos1, eos2):
     s = rusanov_speed(wl, wr, eos2)[..., None]
     ul = tp_cons_from_prim(wl, eos1, eos2)
     ur = tp_cons_from_prim(wr, eos1, eos2)
-    f = 0.5 * (phys_flux(wr, eos1, eos2) + phys_flux(wl, eos1, eos2)
-               - s * (ur - ul))
+    fl = _phys_flux_of(wl, ul[..., 2], ul[..., 3], ul[..., 5], ul[..., 6])
+    fr = _phys_flux_of(wr, ur[..., 2], ur[..., 3], ur[..., 5], ur[..., 6])
+    f = 0.5 * (fr + fl - s * (ur - ul))
     alpha_face = 0.5 * (wl[..., 0] + wr[..., 0])
     phi_alpha_face = 0.5 * (wl[..., 0] * wl[..., 2] + wr[..., 0] * wr[..., 2])
     return TwoPhaseFaceFlux(f_flux=f, alpha_face=alpha_face,
                             phi_alpha_face=phi_alpha_face,
                             p_i=interfacial_pressure(wl, wr))
+
+
+def _f_from_phi(phi, p_i, a1_face, a2_face, phi_a1, phi_a2):
+    """F-flux of the non-conservative form from a local-conservative flux
+    ``phi`` and the face values of its frozen-p_i corrections."""
+    return _stack_last((
+        phi[..., 0], phi[..., 1], phi[..., 2] + p_i * a1_face,
+        phi[..., 3] + p_i * phi_a1, phi[..., 5], phi[..., 6] + p_i * a2_face,
+        phi[..., 7] + p_i * phi_a2))
 
 
 def rusanov_local_flux(wl, wr, eos1, eos2):
@@ -251,15 +270,8 @@ def rusanov_local_flux(wl, wr, eos1, eos2):
     au1r = a1r * wr[..., 2]
     a1_star = 0.5 * (a1r + a1l - (au1r - au1l) / s)
     a2_star = 0.5 * ((1.0 - a1r) + (1.0 - a1l) - (-au1r + au1l) / s)
-    f = _stack_last((
-        phi_star[..., 0],
-        phi_star[..., 1],
-        phi_star[..., 2] + p_i * a1_star,
-        phi_star[..., 3] + p_i * phi_star[..., 0],
-        phi_star[..., 5],
-        phi_star[..., 6] + p_i * a2_star,
-        phi_star[..., 7] + p_i * phi_star[..., 4],
-    ))
+    f = _f_from_phi(phi_star, p_i, a1_star, a2_star, phi_star[..., 0],
+                    phi_star[..., 4])
     return TwoPhaseFaceFlux(f_flux=f, alpha_face=a1_star,
                             phi_alpha_face=phi_star[..., 0], p_i=p_i)
 
@@ -301,7 +313,8 @@ def _tp_psi(wl, wr, s_m1, s_m2, rho2_bar, p_i, beta, eos1, eos2,
     d_m1 = beta * (m1r - m1l)
     g1 = eos1.gamma
     g2 = eos2.gamma
-    psi = np.zeros(np.broadcast(a1l, a1r).shape + (8,))
+    psi = _component_major(np.empty((8,) + np.broadcast(a1l, a1r).shape))
+    psi[..., 3] = 0.0
     psi[..., 0] = d_a1
     psi[..., 1] = d_m1
     psi[..., 2] = d_m1 * s_m1
@@ -355,8 +368,7 @@ def rsir_reconstruct(u_hll, wl, wr, s_l, s_m1, s_m2, s_r, rho2_bar, p_i,
 
 
 def _tp_flux_from_fan(wl, wr, vl, vr, phil, phir, u_hll, u_star_l, u_star_r,
-                      s_l, s_m1, s_m2, s_r, p_i, beta, eos1, eos2,
-                      n_fallback=0):
+                      s_l, s_m1, s_m2, s_r, p_i, beta, n_fallback=0):
     phi_star_l = phil + np.asarray(s_l)[..., None] * (u_star_l - vl)
     phi_star_r = phir + np.asarray(s_r)[..., None] * (u_star_r - vr)
 
@@ -371,21 +383,13 @@ def _tp_flux_from_fan(wl, wr, vl, vr, phil, phir, u_hll, u_star_l, u_star_r,
     phi_a1 = np.where(s_l >= 0.0, au1l, phi_a1)
     phi_a1 = np.where(s_r <= 0.0, au1r, phi_a1)
 
-    def f_from_phi(phi_star, phi_a1_side):
-        return _stack_last((
-            phi_star[..., 0],
-            phi_star[..., 1],
-            phi_star[..., 2] + p_i * a1_face,
-            phi_star[..., 3] + p_i * phi_a1_side,
-            phi_star[..., 5],
-            phi_star[..., 6] + p_i * (1.0 - a1_face),
-            phi_star[..., 7] - p_i * phi_a1_side,
-        ))
-
-    f_star_l = f_from_phi(phi_star_l, phi_star_l[..., 0])
-    f_star_r = f_from_phi(phi_star_r, phi_star_r[..., 0])
-    fl = phys_flux(wl, eos1, eos2)
-    fr = phys_flux(wr, eos1, eos2)
+    a2_face = 1.0 - a1_face
+    f_star_l, f_star_r = (
+        _f_from_phi(phi, p_i, a1_face, a2_face, phi[..., 0], -phi[..., 0])
+        for phi in (phi_star_l, phi_star_r))
+    # the sides' F-fluxes from their local states: no second EOS pass
+    fl = _phys_flux_of(wl, vl[..., 2], vl[..., 3], vl[..., 6], vl[..., 7])
+    fr = _phys_flux_of(wr, vr[..., 2], vr[..., 3], vr[..., 6], vr[..., 7])
     s_m1_e = s_m1[..., None]
     flux = np.where(s_m1_e >= 0.0, f_star_l, f_star_r)
     flux = np.where(np.asarray(s_l)[..., None] >= 0.0, fl, flux)
@@ -414,8 +418,8 @@ def tp_hll_flux(wl, wr, eos1, eos2):
     (wl, wr, vl, vr, phil, phir, u_hll,
      s_l, s_m1, s_m2, s_r, rho2_bar, p_i) = _tp_fan_common(wl, wr, eos1, eos2)
     return _tp_flux_from_fan(wl, wr, vl, vr, phil, phir, u_hll,
-                             u_hll.copy(), u_hll.copy(),
-                             s_l, s_m1, s_m2, s_r, p_i, 0.0, eos1, eos2)
+                             np.copy(u_hll), np.copy(u_hll),
+                             s_l, s_m1, s_m2, s_r, p_i, 0.0)
 
 
 def rsir_tp_flux(wl, wr, eos1, eos2, beta):
@@ -433,7 +437,7 @@ def rsir_tp_flux(wl, wr, eos1, eos2, beta):
         u_star_r = np.where(bad[..., None], u_hll, u_star_r)
     return _tp_flux_from_fan(wl, wr, vl, vr, phil, phir, u_hll,
                              u_star_l, u_star_r, s_l, s_m1, s_m2, s_r,
-                             p_i, beta, eos1, eos2, n_fallback)
+                             p_i, beta, n_fallback)
 
 
 def mixture_entropy(w, eos1, eos2):

@@ -152,3 +152,20 @@ def test_compare_solvers_fine_reference():
                                          n_ref=500)
     assert "fine-mesh" in label
     assert all(v >= 0.0 for errs in table.values() for v in errs.values())
+
+
+def test_nasg_phase_rejected_for_sg_only_closures():
+    """Pressure relaxation and rsir-tp assume SG/ideal phases; a NASG
+    phase is rejected up front, and the other two-phase solvers take it."""
+    case = cases.builtin_case("tp-shock-tube")
+    assert case.pressure_relax and case.solver == "rsir-tp"
+    for overrides in (["eos1.preset=water-nasg"],
+                      ["eos1.preset=water-nasg", "relax.pressure=off"],
+                      ["eos2.preset=water-nasg", "solver=hll-tp"]):
+        with pytest.raises(cases.ConfigError, match="NASG"):
+            cases.apply_overrides(case, overrides)
+    for solver in ("hll-tp", "rusanov-basic", "rusanov-local"):
+        ok = cases.apply_overrides(case, ["eos1.preset=water-nasg",
+                                          "relax.pressure=off",
+                                          f"solver={solver}"])
+        assert ok.eos1.b > 0.0

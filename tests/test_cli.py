@@ -93,3 +93,13 @@ def test_run_failure_is_one_error_line(tmp_path, capsys):
     assert err.startswith("error: StepError: step ")
     assert err.count("\n") == 1
     assert "np.float64" not in err
+
+
+def test_nasg_phase_with_pressure_relaxation_is_a_config_error(tmp_path,
+                                                               capsys):
+    code, _, err = run_cli(
+        ["run", "tp-shock-tube", "--set", "eos1.preset=water-nasg",
+         "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "NASG" in err
+    assert err.count("\n") == 1

@@ -1,11 +1,12 @@
-"""Property tests of the Euler interface fluxes, with states drawn by
-hypothesis over the ranges of ``conftest.random_euler_states``."""
+"""Property tests of the interface fluxes, with states drawn by
+hypothesis over the ranges of ``conftest.random_euler_states`` and
+``conftest.random_twophase_states``."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from rsir1d import eos as _eos
-from rsir1d import euler
+from rsir1d import euler, twophase
 
 EOS = {"air-ideal": _eos.preset("air-ideal"),
        "water-sg": _eos.preset("water-sg")}
@@ -73,3 +74,98 @@ def test_rsir_at_beta_zero_is_hll_bitwise(drawn):
     assert np.array_equal(fan.flux, hll.flux)
     assert np.array_equal(fan.u_star_l, hll.u_star_l)
     assert np.array_equal(fan.u_star_r, hll.u_star_r)
+
+
+# -- memory layout ----------------------------------------------------------
+
+TP_EOS = (_eos.preset("water-sg"), _eos.preset("air-ideal"))
+
+TP_FLUXES = {
+    "rusanov-basic": lambda wl, wr: twophase.rusanov_basic_flux(
+        wl, wr, *TP_EOS),
+    "rusanov-local": lambda wl, wr: twophase.rusanov_local_flux(
+        wl, wr, *TP_EOS),
+    "hll-tp": lambda wl, wr: twophase.tp_hll_flux(wl, wr, *TP_EOS),
+    "rsir-tp": lambda wl, wr: twophase.rsir_tp_flux(wl, wr, *TP_EOS, 1.0),
+}
+
+
+def _tp_states(draw, n):
+    """n admissible two-phase primitive states (water-SG in air), drawn
+    over the ranges of ``conftest.random_twophase_states``."""
+    def unit():
+        return np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n,
+                                      max_size=n)))
+    a1 = 0.05 + 0.9 * unit()
+    rho1 = 800.0 + 500.0 * unit()
+    p1 = 10.0 ** (4.5 + 3.0 * unit())
+    rho2 = 10.0 ** (-0.5 + 2.0 * unit())
+    p2 = 10.0 ** (4.5 + 2.0 * unit())
+    c2 = _eos.sound_speed(TP_EOS[1], rho2, p2)
+    u2 = (2.0 * unit() - 1.0) * c2
+    u1 = u2 + 0.3 * (2.0 * unit() - 1.0) * c2
+    return np.stack([a1, rho1, u1, p1, rho2, u2, p2], axis=-1)
+
+
+@st.composite
+def layout_states(draw):
+    """(eos, Euler pair, two-phase pair) with 1 to 16 interfaces."""
+    eos, wl, wr = draw(state_pairs())
+    n = len(wl)
+    return eos, wl, wr, _tp_states(draw, n), _tp_states(draw, n)
+
+
+def _layouts(w):
+    """The same (n, k) states as a C-ordered array, a component-major
+    array, a strided view into a larger buffer, and a component-major
+    (1, n, k) batch."""
+    n, k = w.shape
+    strided = np.zeros((2 * n, k + 2))[::2, 1:-1]
+    strided[...] = w
+    batch = np.moveaxis(np.empty((k, 1, n)), 0, -1)
+    batch[0] = w
+    return {"C": np.ascontiguousarray(w),
+            "component-major": np.asfortranarray(w),
+            "strided": strided, "batch": batch}
+
+
+def _outputs(wl, wr, eos, tl, tr):
+    """Every layout-sensitive output, as name -> array."""
+    out = {}
+    for name, flux in FLUXES.items():
+        out[name] = flux(wl, wr, eos)
+    for name, flux in TP_FLUXES.items():
+        rec = flux(tl, tr)
+        out[name] = rec.f_flux
+        out[name + ".alpha_face"] = rec.alpha_face
+        out[name + ".phi_alpha_face"] = rec.phi_alpha_face
+    out["cons_from_prim"] = euler.cons_from_prim(wl, eos)
+    out["prim_from_cons"] = euler.prim_from_cons(
+        euler.cons_from_prim(wr, eos), eos)
+    out["tp_cons_from_prim"] = twophase.tp_cons_from_prim(tl, *TP_EOS)
+    out["tp_prim_from_cons"] = twophase.tp_prim_from_cons(
+        twophase.tp_cons_from_prim(tr, *TP_EOS), *TP_EOS)
+    return out
+
+
+@PROPERTY
+@given(layout_states())
+def test_outputs_do_not_depend_on_the_input_layout(drawn):
+    """C-ordered, component-major and strided inputs give bitwise-equal
+    results, and the conversions return component-major arrays."""
+    eos, wl, wr, tl, tr = drawn
+    layouts = [_layouts(a) for a in (wl, wr, tl, tr)]
+    results = {}
+    for name in layouts[0]:
+        l_, r_, tl_, tr_ = (lay[name] for lay in layouts)
+        out = _outputs(l_, r_, eos, tl_, tr_)
+        results[name] = {k: v[0] if name == "batch" else v
+                         for k, v in out.items()}
+    ref = results.pop("C")
+    for name, out in results.items():
+        for key, value in out.items():
+            assert np.array_equal(value, ref[key]), (name, key)
+    for key in ("cons_from_prim", "prim_from_cons", "tp_cons_from_prim",
+                "tp_prim_from_cons"):
+        for j in range(ref[key].shape[-1]):
+            assert ref[key][:, j].flags.c_contiguous, (key, j)
