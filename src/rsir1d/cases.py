@@ -174,10 +174,12 @@ def _apply_lines(case, lines, source):
         except (ValueError, KeyError) as err:
             raise ConfigError(
                 f"{source} line {lineno} ({raw.strip()!r}): {err}") from err
-    if "eos1" in eos_fields:
-        updates["eos1"] = _build_eos(eos_fields["eos1"])
-    if "eos2" in eos_fields:
-        updates["eos2"] = _build_eos(eos_fields["eos2"])
+    for which, fields in eos_fields.items():
+        try:
+            updates[which] = _build_eos(fields)
+        except (ValueError, KeyError) as err:
+            given = ", ".join(f"{which}.{k} = {v}" for k, v in fields.items())
+            raise ConfigError(f"{source} {which} ({given}): {err}") from err
     return replace(case, **updates).validate()
 
 

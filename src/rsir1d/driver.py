@@ -129,9 +129,7 @@ def _euler_flux_fn(solver, eos, beta):
     if solver == "linde":
         return lambda wl, wr: _euler.linde_flux(wl, wr, eos, beta).flux
     if solver == "rsir":
-        if eos.b != 0.0:
-            return lambda wl, wr: _euler.rsir_flux_general(wl, wr, eos, beta).flux
-        return lambda wl, wr: _euler.rsir_flux(wl, wr, eos, beta).flux
+        return lambda wl, wr: _euler.rsir_flux(wl, wr, eos, beta)
     raise ValueError(f"unknown Euler solver {solver!r}")
 
 
@@ -268,15 +266,17 @@ def _step(model, u, w, dt, dx, bc, first_order):
         wm, wp = _predict(model, wg, 0.5 * dt / dx)
     # faces j: between ghosted cells j+1 and j+2, j = 0..n
     rec = model.flux(wp[:-1], wm[1:])
-    f = getattr(rec, "f_flux", rec)
+    # face fluxes: an array, an Euler fan's or a two-phase record's
+    f = getattr(rec, "f_flux", getattr(rec, "flux", rec))
+    fallbacks = getattr(rec, "n_fallback", 0)
     lam = dt / dx
     out = u - lam * (f[1:] - f[:-1])
     if model.increment is not None:
         model.increment(out, w, rec, dt, dx)
+    del rec  # the recovery below can reuse the memory of a fan's star states
     w_out = model.to_prim(out)
     clamps = model.clamps(out) if model.clamps is not None else 0
-    return (out, w_out, _defect(model.totals, u, out, f, lam),
-            getattr(rec, "n_fallback", 0), clamps)
+    return out, w_out, _defect(model.totals, u, out, f, lam), fallbacks, clamps
 
 
 def run(case):

@@ -110,11 +110,16 @@ def internal_energy(eos, rho, p):
     return num / ((eos.gamma - 1.0) * rho)
 
 
-def sound_speed(eos, rho, p):
-    """Speed of sound [m/s]; NASG gets the extra 1/(1 - rho b) factor."""
+def _sound_speed_sq(eos, rho, p):
+    """Squared sound speed, unchecked; NASG has the factor 1/(1 - rho b)."""
     rho = np.asarray(rho, float)
     den = rho * _covolume_factor(eos, rho) if eos.b else rho
-    c2 = eos.gamma * (np.asarray(p, float) + eos.p_inf) / den
+    return eos.gamma * (np.asarray(p, float) + eos.p_inf) / den
+
+
+def sound_speed(eos, rho, p):
+    """Speed of sound [m/s]."""
+    c2 = _sound_speed_sq(eos, rho, p)
     if (c2 <= 0.0).any():
         raise EosDomainError(
             f"non-positive squared sound speed (min c^2 = "

@@ -7,8 +7,7 @@ shape (n, 3) evaluates n Riemann fans at once.
 
 Interface solvers: Rusanov, HLL, HLLC, the original Linde two-state
 reconstruction, and the internal-reconstruction solver with the
-quasi-isentropic contact closure (ideal/SG path and the general convex
-EOS path used for NASG).
+quasi-isentropic contact closure, one kernel for ideal gas, SG and NASG.
 """
 
 from dataclasses import dataclass
@@ -16,12 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eos as _eos
-from .eos import EosParams, EosDomainError
+from .eos import EosDomainError
 
 __all__ = [
     "DegenerateFanError",
     "PositivityError",
-    "WrongClosureError",
     "EulerFan",
     "cons_from_prim",
     "prim_from_cons",
@@ -34,7 +32,6 @@ __all__ = [
     "hll_flux",
     "linde_flux",
     "rsir_flux",
-    "rsir_flux_general",
     "hllc_flux",
 ]
 
@@ -47,10 +44,6 @@ class PositivityError(ValueError):
     """A reconstructed star state left the admissible region."""
 
 
-class WrongClosureError(TypeError):
-    """EOS incompatible with the requested contact closure."""
-
-
 @dataclass
 class EulerFan:
     """Per-interface Riemann fan record.
@@ -59,6 +52,8 @@ class EulerFan:
     u_star_l, u_star_r : reconstructed star states (conserved)
     beta : reconstruction viscosity parameter in [0, 1]
     flux : sampled interface flux
+    n_fallback : interfaces given the HLL star state because the
+                 reconstructed one was inadmissible
     """
 
     s_l: np.ndarray
@@ -68,6 +63,7 @@ class EulerFan:
     u_star_r: np.ndarray
     beta: float
     flux: np.ndarray
+    n_fallback: int = 0
 
 
 def _component_major(a):
@@ -199,7 +195,6 @@ def _fan_common(wl, wr, eos):
     wl = np.asarray(wl, float)
     wr = np.asarray(wr, float)
     s_l, s_r = davis_wave_speeds(wl, wr, eos)
-    _check_fan(s_l, s_r)
     ul, fl = cons_and_flux(wl, eos)
     ur, fr = cons_and_flux(wr, eos)
     u_hll = hll_state(ul, ur, fl, fr, s_l, s_r)
@@ -207,12 +202,14 @@ def _fan_common(wl, wr, eos):
     return wl, wr, ul, ur, fl, fr, u_hll, s_l, s_m, s_r
 
 
-def _build_fan(ul, ur, fl, fr, u_star_l, u_star_r, s_l, s_m, s_r, beta):
+def _build_fan(ul, ur, fl, fr, u_star_l, u_star_r, s_l, s_m, s_r, beta,
+               n_fallback=0):
     f_star_l = fl + np.asarray(s_l)[..., None] * (u_star_l - ul)
     f_star_r = fr + np.asarray(s_r)[..., None] * (u_star_r - ur)
     flux = _sample(fl, fr, f_star_l, f_star_r, s_l, s_m, s_r)
     return EulerFan(s_l=s_l, s_m=s_m, s_r=s_r, u_star_l=u_star_l,
-                    u_star_r=u_star_r, beta=beta, flux=flux)
+                    u_star_r=u_star_r, beta=beta, flux=flux,
+                    n_fallback=n_fallback)
 
 
 def hll_flux(wl, wr, eos):
@@ -247,74 +244,47 @@ def _weights(s_l, s_m, s_r):
 
 def rsir_flux(wl, wr, eos, beta):
     """Internal reconstruction with the quasi-isentropic contact closure,
-    valid for ideal-gas and SG EOS (the energy closure assumes rho*e is a
-    function of p only):
+    for every EOS of the NASG family (SG and the ideal gas at b = 0):
 
         psi = beta [rho_R - rho_L + (p_L - p_R)/cbar^2]
-        U_L* = U*_HLL - omega_R psi Lambda,  Lambda = (1, S_M, S_M^2/2)
-        U_R* = U*_HLL + omega_L psi Lambda
-    """
-    _check_beta(beta)
-    if eos.b != 0.0:
-        raise WrongClosureError(
-            "rsir_flux assumes ideal/SG EOS (b = 0); use rsir_flux_general "
-            "for NASG"
-        )
-    wl, wr, ul, ur, fl, fr, u_hll, s_l, s_m, s_r = _fan_common(wl, wr, eos)
-    om_l, om_r = _weights(s_l, s_m, s_r)
-    cl2 = eos.gamma * (wl[..., 2] + eos.p_inf) / wl[..., 0]
-    cr2 = eos.gamma * (wr[..., 2] + eos.p_inf) / wr[..., 0]
-    cbar2 = 0.5 * (cl2 + cr2)
-    psi = beta * (wr[..., 0] - wl[..., 0] + (wl[..., 2] - wr[..., 2]) / cbar2)
-    jump = _stack_last((psi, psi * s_m, psi * (0.5 * s_m * s_m)))
-    u_star_l = u_hll - om_r[..., None] * jump
-    u_star_r = u_hll + om_l[..., None] * jump
-    return _build_fan(ul, ur, fl, fr, u_star_l, u_star_r, s_l, s_m, s_r, beta)
+        U_L* = U*_HLL - omega_R psi Lambda,  U_R* = U*_HLL + omega_L psi Lambda
+        Lambda = (1, S_M, S_M^2/2 - b (p* + gamma p_inf)/(gamma - 1))
 
-
-def rsir_flux_general(wl, wr, eos, beta):
-    """Internal reconstruction for a general convex EOS (NASG included).
-
-    Star densities follow the same averaged quasi-isentropic density jump
-    as :func:`rsir_flux`; star pressures come from the per-side relations
-    p_k* = p_k + c_k^2 (rho_k* - rho_k), merged into the single contact
-    pressure p* = (p_L*-estimate + p_R*-estimate)/2 so the contact
-    condition p_L* = p_R* holds exactly; the energy jump evaluates the EOS
-    at the star states.  Reduces exactly to :func:`rsir_flux` for SG.
+    The last term of Lambda is rho_R* e_R* - rho_L* e_L* per unit density
+    jump, taken at the contact pressure p*, the average of the per-side
+    estimates p_k + c_k^2 (rho_k* - rho_k); with b = 0, rho e depends on p
+    alone and the term vanishes.  Interfaces with an inadmissible star
+    state (rho* <= 0; for b > 0 also p* + p_inf <= 0 or rho* b >= 1) get
+    the HLL (beta = 0) star state and are counted in ``n_fallback``.
     """
     _check_beta(beta)
     wl, wr, ul, ur, fl, fr, u_hll, s_l, s_m, s_r = _fan_common(wl, wr, eos)
     om_l, om_r = _weights(s_l, s_m, s_r)
     rho_l, p_l = wl[..., 0], wl[..., 2]
     rho_r, p_r = wr[..., 0], wr[..., 2]
-    cl = _eos.sound_speed(eos, rho_l, p_l)
-    cr = _eos.sound_speed(eos, rho_r, p_r)
-    cbar2 = 0.5 * (cl * cl + cr * cr)
-    psi_rho = beta * (rho_r - rho_l + (p_l - p_r) / cbar2)
-    rho_star_l = u_hll[..., 0] - om_r * psi_rho
-    rho_star_r = u_hll[..., 0] + om_l * psi_rho
-    if (rho_star_l <= 0.0).any() or (rho_star_r <= 0.0).any():
-        raise PositivityError("non-positive reconstructed star density")
-    # Contact pressure: average of the two quasi-isentropic estimates.
-    p_star = 0.5 * (p_l + cl * cl * (rho_star_l - rho_l)
-                    + p_r + cr * cr * (rho_star_r - rho_r))
-    if (p_star + eos.p_inf <= 0.0).any():
-        bad = np.argmin(p_star + eos.p_inf)
-        raise PositivityError(
-            f"star pressure below -p_inf at interface {bad} "
-            f"(p* = {float(np.min(p_star))!r})"
-        )
-    try:
-        e_star_l = _eos.internal_energy(eos, rho_star_l, p_star)
-        e_star_r = _eos.internal_energy(eos, rho_star_r, p_star)
-    except EosDomainError as err:
-        raise PositivityError(f"inadmissible star state: {err}") from err
-    psi_e = (rho_star_r * e_star_r - rho_star_l * e_star_l
-             + psi_rho * 0.5 * s_m * s_m)
-    jump = _stack_last((psi_rho, psi_rho * s_m, psi_e))
+    cl2 = _eos._sound_speed_sq(eos, rho_l, p_l)
+    cr2 = _eos._sound_speed_sq(eos, rho_r, p_r)
+    psi = beta * (rho_r - rho_l + (p_l - p_r) / (0.5 * (cl2 + cr2)))
+    lam_e = 0.5 * s_m * s_m
+    bad = False
+    if eos.b:
+        rho_star_l = u_hll[..., 0] - om_r * psi
+        rho_star_r = u_hll[..., 0] + om_l * psi
+        p_star = 0.5 * (p_l + cl2 * (rho_star_l - rho_l)
+                        + p_r + cr2 * (rho_star_r - rho_r))
+        bad = ((p_star + eos.p_inf <= 0.0) | (rho_star_l * eos.b >= 1.0)
+               | (rho_star_r * eos.b >= 1.0))
+        lam_e -= eos.b * (p_star + eos.gamma * eos.p_inf) / (eos.gamma - 1.0)
+    jump = _stack_last((psi, psi * s_m, psi * lam_e))
     u_star_l = u_hll - om_r[..., None] * jump
     u_star_r = u_hll + om_l[..., None] * jump
-    return _build_fan(ul, ur, fl, fr, u_star_l, u_star_r, s_l, s_m, s_r, beta)
+    bad = bad | (u_star_l[..., 0] <= 0.0) | (u_star_r[..., 0] <= 0.0)
+    n_fallback = int(np.count_nonzero(bad))
+    if n_fallback:
+        u_star_l[bad] = u_hll[bad]
+        u_star_r[bad] = u_hll[bad]
+    return _build_fan(ul, ur, fl, fr, u_star_l, u_star_r, s_l, s_m, s_r,
+                      beta, n_fallback)
 
 
 def hllc_flux(wl, wr, eos):

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eos as _eos
-from .euler import (DegenerateFanError, PositivityError, _component_major,
-                    _stack_last)
+from .euler import (DegenerateFanError, PositivityError, _check_beta,
+                    _component_major, _stack_last)
 
 __all__ = [
     "ALPHA_FLOOR",
@@ -425,8 +425,7 @@ def tp_hll_flux(wl, wr, eos1, eos2):
 def rsir_tp_flux(wl, wr, eos1, eos2, beta):
     """Two-phase internal-reconstruction flux with per-interface beta=0
     fallback when a reconstructed star state is inadmissible."""
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0,1], got {beta}")
+    _check_beta(beta)
     (wl, wr, vl, vr, phil, phir, u_hll,
      s_l, s_m1, s_m2, s_r, rho2_bar, p_i) = _tp_fan_common(wl, wr, eos1, eos2)
     u_star_l, u_star_r, bad = rsir_reconstruct(

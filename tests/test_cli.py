@@ -103,3 +103,16 @@ def test_nasg_phase_with_pressure_relaxation_is_a_config_error(tmp_path,
     assert code == 2
     assert err.startswith("error: ") and "NASG" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case, override", [
+    ("euler-shock-tube", "eos1.gamma=0.5"),
+    ("tp-shock-tube", "eos2.b=1e-3"),
+])
+def test_rejected_eos_override_is_a_config_error(tmp_path, capsys, case,
+                                                 override):
+    code, _, err = run_cli(["run", case, "--set", override,
+                            "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and override.split("=")[0] in err
+    assert err.count("\n") == 1

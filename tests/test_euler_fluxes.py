@@ -130,35 +130,31 @@ def test_rsir_mass_dissipation_monotone_in_beta():
     assert np.allclose(np.diff(jumps), jumps[-1] / 4.0, rtol=1e-9)
 
 
-def test_rsir_rejects_covolume_eos():
-    w = np.array([1000.0, 0.0, 1e5])
-    with pytest.raises(euler.WrongClosureError):
-        euler.rsir_flux(w, w, NASG, 1.0)
-
-
-def test_rsir_general_matches_sg_path(rng):
-    """With b = 0 the general-EOS reconstruction is the SG closure."""
-    for par, rho0, p0, spread, mach in ((AIR, 1.2, 1e5, 0.15, 0.3),
-                                        (WATER, 1000.0, 1e6, 0.02, 0.03)):
-        n = 300
-        # moderate jumps keep the reconstruction admissible (for water a
-        # few percent of density contrast already means GPa-scale waves)
-        rho = rho0 * 10.0 ** rng.uniform(-spread, spread, size=(2, n))
-        p = p0 * 10.0 ** rng.uniform(-0.3, 0.3, size=(2, n))
-        c = _eos.sound_speed(par, rho, p)
-        u = rng.uniform(-mach, mach, size=(2, n)) * c
-        wl = np.stack([rho[0], u[0], p[0]], axis=-1)
-        wr = np.stack([rho[1], u[1], p[1]], axis=-1)
-        f_sg = euler.rsir_flux(wl, wr, par, 1.0).flux
-        f_gen = euler.rsir_flux_general(wl, wr, par, 1.0).flux
-        scale = np.max(np.abs(f_sg), axis=0)
-        assert np.allclose(f_gen, f_sg, rtol=1e-10, atol=1e-9 * scale)
+def test_rsir_energy_jump_is_the_eos_at_the_contact_pressure(rng):
+    """The energy jump of the star states is rho_R* e(rho_R*, p*) -
+    rho_L* e(rho_L*, p*) + S_M^2/2 (rho_R* - rho_L*), with p* the average
+    of the per-side estimates p_k + c_k^2 (rho_k* - rho_k)."""
+    for par in (WATER, NASG):
+        wl, wr = random_euler_states(rng, 2000, par)
+        fan = euler.rsir_flux(wl, wr, par, 1.0)
+        rho_l, rho_r = fan.u_star_l[:, 0], fan.u_star_r[:, 0]
+        cl2 = _eos.sound_speed(par, wl[:, 0], wl[:, 2]) ** 2
+        cr2 = _eos.sound_speed(par, wr[:, 0], wr[:, 2]) ** 2
+        p_star = 0.5 * (wl[:, 2] + cl2 * (rho_l - wl[:, 0])
+                        + wr[:, 2] + cr2 * (rho_r - wr[:, 0]))
+        want = (rho_r * _eos.internal_energy(par, rho_r, p_star)
+                - rho_l * _eos.internal_energy(par, rho_l, p_star)
+                + 0.5 * fan.s_m * fan.s_m * (rho_r - rho_l))
+        got = fan.u_star_r[:, 2] - fan.u_star_l[:, 2]
+        scale = np.maximum(np.abs(fan.u_star_l[:, 2]),
+                           np.abs(fan.u_star_r[:, 2]))
+        assert np.all(np.abs(got - want) <= 1e-10 * scale)
 
 
 def test_rsir_general_contact_preservation_nasg():
     wl = np.array([[1000.0, 100.0, 1e5]])
     wr = np.array([[1200.0, 100.0, 1e5]])
-    f = euler.rsir_flux_general(wl, wr, NASG, 1.0).flux
+    f = euler.rsir_flux(wl, wr, NASG, 1.0).flux
     f_exact = euler.physical_flux(wl, NASG)
     assert np.allclose(f, f_exact, rtol=1e-9, atol=1e-4)
 

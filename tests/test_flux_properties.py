@@ -9,7 +9,8 @@ from rsir1d import eos as _eos
 from rsir1d import euler, twophase
 
 EOS = {"air-ideal": _eos.preset("air-ideal"),
-       "water-sg": _eos.preset("water-sg")}
+       "water-sg": _eos.preset("water-sg"),
+       "water-nasg": _eos.preset("water-nasg")}
 MACH_MAX = 2.0
 
 # deterministic, so that the suite gives the same verdict on every run
@@ -43,7 +44,8 @@ def _states(draw, eos, n):
 
 @st.composite
 def state_pairs(draw):
-    """(eos, wl, wr) with 1 to 16 interfaces for air or water-SG."""
+    """(eos, wl, wr) with 1 to 16 interfaces for air, water-SG or
+    water-NASG."""
     eos = EOS[draw(st.sampled_from(sorted(EOS)))]
     n = draw(st.integers(1, 16))
     return eos, _states(draw, eos, n), _states(draw, eos, n)
@@ -74,6 +76,36 @@ def test_rsir_at_beta_zero_is_hll_bitwise(drawn):
     assert np.array_equal(fan.flux, hll.flux)
     assert np.array_equal(fan.u_star_l, hll.u_star_l)
     assert np.array_equal(fan.u_star_r, hll.u_star_r)
+
+
+@PROPERTY
+@given(state_pairs())
+def test_rsir_falls_back_to_hll_where_the_star_state_is_inadmissible(drawn):
+    """At beta = 1, interfaces whose reconstructed star state is
+    inadmissible get the HLL star states and flux and are counted; the
+    others keep the reconstructed star densities, and all are positive."""
+    eos, wl, wr = drawn
+    fan = euler.rsir_flux(wl, wr, eos, 1.0)
+    hll = euler.hll_flux(wl, wr, eos)
+    # the reconstruction without fallback
+    cl2 = _eos._sound_speed_sq(eos, wl[:, 0], wl[:, 2])
+    cr2 = _eos._sound_speed_sq(eos, wr[:, 0], wr[:, 2])
+    psi = wr[:, 0] - wl[:, 0] + (wl[:, 2] - wr[:, 2]) / (0.5 * (cl2 + cr2))
+    den = fan.s_r - fan.s_l
+    rho_l = hll.u_star_l[:, 0] - (fan.s_r - fan.s_m) / den * psi
+    rho_r = hll.u_star_l[:, 0] + (fan.s_m - fan.s_l) / den * psi
+    p_star = 0.5 * (wl[:, 2] + cl2 * (rho_l - wl[:, 0])
+                    + wr[:, 2] + cr2 * (rho_r - wr[:, 0]))
+    bad = (rho_l <= 0.0) | (rho_r <= 0.0)
+    if eos.b:
+        bad |= ((p_star + eos.p_inf <= 0.0) | (rho_l * eos.b >= 1.0)
+                | (rho_r * eos.b >= 1.0))
+    assert fan.n_fallback == np.count_nonzero(bad)
+    assert np.all(fan.u_star_l[:, 0] > 0.0) and np.all(fan.u_star_r[:, 0] > 0.0)
+    for name in ("flux", "u_star_l", "u_star_r"):
+        assert np.array_equal(getattr(fan, name)[bad], getattr(hll, name)[bad])
+    assert np.array_equal(fan.u_star_l[~bad, 0], rho_l[~bad])
+    assert np.array_equal(fan.u_star_r[~bad, 0], rho_r[~bad])
 
 
 # -- memory layout ----------------------------------------------------------
