@@ -179,7 +179,8 @@ def _apply_lines(case, lines, source):
             updates[which] = _build_eos(fields)
         except (ValueError, KeyError) as err:
             given = ", ".join(f"{which}.{k} = {v}" for k, v in fields.items())
-            raise ConfigError(f"{source} {which} ({given}): {err}") from err
+            msg = err.args[0] if isinstance(err, KeyError) else err
+            raise ConfigError(f"{source} {which} ({given}): {msg}") from err
     return replace(case, **updates).validate()
 
 

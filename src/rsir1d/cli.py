@@ -151,7 +151,8 @@ def main(argv=None):
     try:
         return args.func(args)
     except (_cases.ConfigError, KeyError, FileNotFoundError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        msg = err.args[0] if isinstance(err, KeyError) else err
+        print(f"error: {msg}", file=sys.stderr)
         return 2
     except (_driver.StepError, RelaxationError, EosDomainError,
             PositivityError) as err:

@@ -113,10 +113,10 @@ class _Model:
     edge: object           # (edge prims, cell prims) -> (cons, predictor flux)
     flux: object           # (wl, wr) -> interface flux or face-flux record
     max_speed: object      # primitives -> largest signal speed
-    totals: object         # cell rows -> summed (masses..., momentum, energy)
+    totals: object         # column sums -> (masses..., momentum, energy)
     increment: object = None  # (out, w, rec, dt, dx): non-conservative terms
     clamps: object = None     # conserved -> number of volume-fraction clamps
-    sources: object = None    # (u, dt) -> u after relaxation sources
+    sources: object = None    # (u, dt) -> (u after sources, RelaxReport|None)
 
 
 def _euler_flux_fn(solver, eos, beta):
@@ -146,7 +146,7 @@ def _euler_model(case):
         to_prim=lambda u: _euler.prim_from_cons(u, eos),
         edge=lambda we, w: _euler.cons_and_flux(we, eos),
         flux=_euler_flux_fn(case.solver, eos, case.beta),
-        max_speed=max_speed, totals=lambda u: np.sum(u, axis=0))
+        max_speed=max_speed, totals=lambda s: s)
 
 
 def _tp_flux_fn(solver, eos1, eos2, beta):
@@ -161,40 +161,32 @@ def _tp_flux_fn(solver, eos1, eos2, beta):
     raise ValueError(f"unknown two-phase solver {solver!r}")
 
 
-_PHI_TO_CONS = [0, 1, 2, 3, 5, 6, 7]  # drop the alpha2 slot
-
-
 def _tp_model(case):
     eos1, eos2 = case.eos1, case.eos2
 
     def edge(we, w):
         # predictor on the locally conservative flux with the cell's own
         # phase-1 pressure as frozen interfacial pressure
-        v, phi = _tp.local_state_and_flux(we, w[..., 3], eos1, eos2)
-        return v[..., _PHI_TO_CONS], phi[..., _PHI_TO_CONS]
+        return _tp.tp_cons_and_local_flux(we, w[..., 3], eos1, eos2)
 
     def max_speed(w):
         c2 = _eos.sound_speed(eos2, w[..., 4], w[..., 6])
         return float(np.max(np.maximum(np.abs(w[..., 2]),
                                        np.abs(w[..., 5]) + c2)))
 
-    def totals(u):
+    def totals(s):
         # phase masses, mixture momentum and mixture energy: the H-terms
         # cancel pairwise in these combinations
-        return np.array([np.sum(u[:, 1]), np.sum(u[:, 4]),
-                         np.sum(u[:, 2] + u[:, 5]),
-                         np.sum(u[:, 3] + u[:, 6])])
+        return np.array([s[1], s[4], s[2] + s[5], s[3] + s[6]])
 
     def increment(out, w, rec, dt, dx):
         # non-conservative terms with cell-centered interfacial pressure
-        p_i_cell = w[:, 3]
-        h_u = p_i_cell * (rec.alpha_face[1:] - rec.alpha_face[:-1]) / dx
-        h_e = p_i_cell * (rec.phi_alpha_face[1:]
-                          - rec.phi_alpha_face[:-1]) / dx
-        out[:, 2] += dt * h_u
-        out[:, 5] -= dt * h_u
-        out[:, 3] += dt * h_e
-        out[:, 6] -= dt * h_e
+        for face, gain, loss in ((rec.alpha_face, 2, 5),
+                                 (rec.phi_alpha_face, 3, 6)):
+            h = w[:, 3] * (face[1:] - face[:-1]) / dx
+            h *= dt
+            out[:, gain] += h
+            out[:, loss] -= h
 
     def sources(u, dt):
         if case.drag_model == "constant" and case.drag_lambda > 0.0:
@@ -202,9 +194,10 @@ def _tp_model(case):
         elif case.drag_model == "clift-gauvin":
             u = _relax.drag_clift_gauvin(u, case.drag_radius, case.drag_mu2,
                                          dt)
+        report = None
         if case.pressure_relax:
-            u, _ = _relax.pressure_relax_stiff(u, eos1, eos2)
-        return u
+            u, report = _relax.pressure_relax_stiff(u, eos1, eos2)
+        return u, report
 
     return _Model(
         velocity_slots=(2, 5),
@@ -242,9 +235,9 @@ def _predict(model, wg, half_lam):
 
 def _defect(totals, u0, u1, f, lam):
     """Relative conservation defect of the update u0 -> u1 with interface
-    fluxes f and lam = dt/dx."""
-    budget = totals(u1) - totals(u0) + lam * (totals(f[-1:]) - totals(f[:1]))
-    denom = totals(np.abs(u1))
+    fluxes f and lam = dt/dx, from one column sum per array."""
+    budget = totals(u1.sum(axis=0) - u0.sum(axis=0) + lam * (f[-1] - f[0]))
+    denom = totals(np.sum(np.abs(u1), axis=0))
     # momentum can sum to ~0 at rest; floor it with the
     # dimensionally matching scale sqrt(mass * energy)
     denom[-2] = max(denom[-2], np.sqrt(sum(denom[:-2]) * denom[-1]))
@@ -270,7 +263,9 @@ def _step(model, u, w, dt, dx, bc, first_order):
     f = getattr(rec, "f_flux", getattr(rec, "flux", rec))
     fallbacks = getattr(rec, "n_fallback", 0)
     lam = dt / dx
-    out = u - lam * (f[1:] - f[:-1])
+    out = np.subtract(f[1:], f[:-1])
+    out *= lam
+    np.subtract(u, out, out=out)
     if model.increment is not None:
         model.increment(out, w, rec, dt, dx)
     del rec  # the recovery below can reuse the memory of a fan's star states
@@ -302,7 +297,8 @@ def run(case):
     t = 0.0
     step = 0
     max_defect = 0.0
-    n_fallback = n_clamp = n_reject = 0
+    n_fallback = n_clamp = n_reject = n_bisect = 0
+    max_residual = 0.0
     if 0.0 in out_times:
         snapshots.append((0.0, w))
         out_times = [x for x in out_times if x > 0.0]
@@ -328,8 +324,11 @@ def run(case):
             n_fallback += fallbacks
             n_clamp += clamps
             if model.sources is not None:
-                u_new = model.sources(u_new, dt)
+                u_new, report = model.sources(u_new, dt)
                 w_new = model.to_prim(u_new)
+                if report is not None:
+                    n_bisect += report.iterations > 0
+                    max_residual = max(max_residual, report.residual)
             u, w = u_new, w_new
             t += dt
             step += 1
@@ -349,6 +348,8 @@ def run(case):
         "positivity_fallbacks": n_fallback,
         "alpha_clamps": n_clamp,
         "dt_rejections": n_reject,
+        "relax_bisection_steps": n_bisect,
+        "max_relax_residual": max_residual,
     }
     return RunResult(mesh=mesh, snapshots=snapshots, manifest=manifest,
                      final_cons=u)

@@ -34,6 +34,7 @@ __all__ = [
     "local_state",
     "local_flux",
     "local_state_and_flux",
+    "tp_cons_and_local_flux",
     "phys_flux",
     "tp_wave_bounds",
     "rusanov_speed",
@@ -77,8 +78,6 @@ class TwoPhaseFan(TwoPhaseFaceFlux):
     s_r: np.ndarray = None
     u_star_l: np.ndarray = None
     u_star_r: np.ndarray = None
-    flux_l: np.ndarray = None  # local-conservative (phi) star flux, left
-    flux_r: np.ndarray = None
     beta: float = 1.0
     n_fallback: int = 0
 
@@ -168,18 +167,32 @@ def local_flux(w, p_i, eos1, eos2):
     return local_state_and_flux(w, p_i, eos1, eos2)[1]
 
 
-def local_state_and_flux(w, p_i, eos1, eos2):
-    """``local_state(tp_cons_from_prim(w))`` and ``local_flux(w, p_i)``,
-    sharing one internal-energy evaluation per phase."""
+def _local_columns(w, p_i, eos1, eos2):
+    """(state columns, flux columns) of :func:`local_state_and_flux` less
+    its alpha2 slot 4, and that slot's (alpha2, alpha1 u1)."""
     (a1, a2, u1, u2, p1, p2,
      m1, m2, q1, q2, en1, en2) = _phase_terms(w, eos1, eos2)
     p_i = np.asarray(p_i, dtype=float)
     au1 = a1 * u1
-    return (_stack_last((a1, m1, q1, en1, a2, m2, q2, en2)),
-            _stack_last((au1, q1, q1 * u1 + a1 * (p1 - p_i),
-                         (en1 + a1 * (p1 - p_i)) * u1, -au1, q2,
-                         q2 * u2 + a2 * (p2 - p_i),
-                         (en2 + a2 * p2) * u2 + p_i * a1 * u1)))
+    return ([a1, m1, q1, en1, m2, q2, en2],
+            [au1, q1, q1 * u1 + a1 * (p1 - p_i), (en1 + a1 * (p1 - p_i)) * u1,
+             q2, q2 * u2 + a2 * (p2 - p_i),
+             (en2 + a2 * p2) * u2 + p_i * a1 * u1], a2, au1)
+
+
+def local_state_and_flux(w, p_i, eos1, eos2):
+    """``local_state(tp_cons_from_prim(w))`` and ``local_flux(w, p_i)``,
+    sharing one internal-energy evaluation per phase."""
+    v, phi, a2, au1 = _local_columns(w, p_i, eos1, eos2)
+    return (_stack_last(v[:4] + [a2] + v[4:]),
+            _stack_last(phi[:4] + [-au1] + phi[4:]))
+
+
+def tp_cons_and_local_flux(w, p_i, eos1, eos2):
+    """:func:`local_state_and_flux` less its alpha2 slot 4: the conserved
+    state and the MUSCL-Hancock predictor flux for frozen p_i."""
+    v, phi, _, _ = _local_columns(w, p_i, eos1, eos2)
+    return _stack_last(v), _stack_last(phi)
 
 
 def phys_flux(w, eos1, eos2):
@@ -286,8 +299,10 @@ def tp_hll_state(vl, vr, phil, phir, s_l, s_r):
         raise DegenerateFanError("degenerate two-phase fan: S_L >= S_R")
     sl = np.asarray(s_l, float)[..., None]
     sr = np.asarray(s_r, float)[..., None]
-    u_hll = (np.asarray(phir, float) - np.asarray(phil, float)
-             + sl * np.asarray(vl, float) - sr * np.asarray(vr, float)) / (sl - sr)
+    u_hll = np.subtract(phir, phil, dtype=float)
+    u_hll += sl * np.asarray(vl, float)
+    u_hll -= sr * np.asarray(vr, float)
+    u_hll /= sl - sr
     for slot, name in ((1, "phase 1"), (5, "phase 2")):
         if (u_hll[..., slot] <= 0.0).any():
             raise PositivityError(
@@ -298,14 +313,10 @@ def tp_hll_state(vl, vr, phil, phir, s_l, s_r):
     return u_hll, s_m1, s_m2, rho2_bar
 
 
-def _tp_psi(wl, wr, s_m1, s_m2, rho2_bar, p_i, beta, eos1, eos2,
-            m1_star_l, m1_star_r):
-    """Jump vector psi across the phase-1 contact wave (8 slots).
-
-    The phase-1 energy component needs the already-reconstructed star
-    masses, hence the two extra arguments; pass None on the first call
-    and fill the slot afterwards.
-    """
+def _tp_psi(wl, wr, u_hll, s_m1, s_m2, rho2_bar, p_i, om_l, om_r, beta,
+            eos1, eos2):
+    """Jump vector psi across the phase-1 contact wave (8 slots); its
+    energy slot 3 uses the star masses u_hll[1] -/+ om_r/om_l psi[1]."""
     a1l, a1r = wl[..., 0], wr[..., 0]
     m1l = a1l * wl[..., 1]
     m1r = a1r * wr[..., 1]
@@ -314,19 +325,19 @@ def _tp_psi(wl, wr, s_m1, s_m2, rho2_bar, p_i, beta, eos1, eos2,
     g1 = eos1.gamma
     g2 = eos2.gamma
     psi = _component_major(np.empty((8,) + np.broadcast(a1l, a1r).shape))
-    psi[..., 3] = 0.0
     psi[..., 0] = d_a1
     psi[..., 1] = d_m1
     psi[..., 2] = d_m1 * s_m1
-    if m1_star_l is not None:
-        # the velocity terms also carry beta so that beta = 0 degenerates
-        # exactly to the single-state HLL solver
-        u1l = wl[..., 2]
-        u1r = wr[..., 2]
-        psi[..., 3] = (d_a1 * (p_i + g1 * eos1.p_inf) / (g1 - 1.0)
-                       + d_m1 * 0.5 * s_m1 * s_m1
-                       + beta * (m1_star_l * u1l * (u1l - s_m1)
-                                 - m1_star_r * u1r * (u1r - s_m1)) / (g1 - 1.0))
+    m1_star_l = u_hll[..., 1] - om_r * d_m1
+    m1_star_r = u_hll[..., 1] + om_l * d_m1
+    # the velocity terms also carry beta so that beta = 0 degenerates
+    # exactly to the single-state HLL solver
+    u1l = wl[..., 2]
+    u1r = wr[..., 2]
+    psi[..., 3] = (d_a1 * (p_i + g1 * eos1.p_inf) / (g1 - 1.0)
+                   + d_m1 * 0.5 * s_m1 * s_m1
+                   + beta * (m1_star_l * u1l * (u1l - s_m1)
+                             - m1_star_r * u1r * (u1r - s_m1)) / (g1 - 1.0))
     # phase 2: alpha2 jump is minus the phase-1 jump, carrier density
     # prolonged as rho2_bar, single carrier star velocity S_M2
     d_a2 = -d_a1
@@ -350,15 +361,10 @@ def rsir_reconstruct(u_hll, wl, wr, s_l, s_m1, s_m2, s_r, rho2_bar, p_i,
     """
     om_l = (s_m1 - s_l) / (s_r - s_l)
     om_r = (s_r - s_m1) / (s_r - s_l)
-    psi = _tp_psi(wl, wr, s_m1, s_m2, rho2_bar, p_i, beta, eos1, eos2,
-                  None, None)
+    psi = _tp_psi(wl, wr, u_hll, s_m1, s_m2, rho2_bar, p_i, om_l, om_r, beta,
+                  eos1, eos2)
     u_star_l = u_hll - om_r[..., None] * psi
     u_star_r = u_hll + om_l[..., None] * psi
-    # energy slot of phase 1 depends on the star masses just computed
-    psi = _tp_psi(wl, wr, s_m1, s_m2, rho2_bar, p_i, beta, eos1, eos2,
-                  u_star_l[..., 1], u_star_r[..., 1])
-    u_star_l[..., 3] = u_hll[..., 3] - om_r * psi[..., 3]
-    u_star_r[..., 3] = u_hll[..., 3] + om_l * psi[..., 3]
     bad = np.zeros(np.shape(s_m1), dtype=bool)
     for star in (u_star_l, u_star_r):
         bad |= (star[..., 0] < ALPHA_FLOOR) | (star[..., 0] > 1.0 - ALPHA_FLOOR)
@@ -367,38 +373,37 @@ def rsir_reconstruct(u_hll, wl, wr, s_l, s_m1, s_m2, s_r, rho2_bar, p_i,
     return u_star_l, u_star_r, bad
 
 
-def _tp_flux_from_fan(wl, wr, vl, vr, phil, phir, u_hll, u_star_l, u_star_r,
+def _tp_flux_from_fan(wl, wr, vl, vr, phil, phir, u_star_l, u_star_r,
                       s_l, s_m1, s_m2, s_r, p_i, beta, n_fallback=0):
-    phi_star_l = phil + np.asarray(s_l)[..., None] * (u_star_l - vl)
-    phi_star_r = phir + np.asarray(s_r)[..., None] * (u_star_r - vr)
+    # the star flux phi + S (U* - v) of the face's side of S_M1 only
+    left = (s_m1 >= 0.0)[..., None]
+    phi_star = np.where(left, u_star_l, u_star_r)
+    phi_star -= np.where(left, vl, vr)
+    phi_star *= np.where(s_m1 >= 0.0, s_l, s_r)[..., None]
+    phi_star += np.where(left, phil, phir)
 
     a1l, a1r = wl[..., 0], wr[..., 0]
     au1l = a1l * wl[..., 2]
     au1r = a1r * wr[..., 2]
     # HLL-form face volume fraction, sampled in the supersonic branches
     a1_face = (au1r - au1l + s_l * a1l - s_r * a1r) / (s_l - s_r)
-    a1_face = np.where(s_l >= 0.0, a1l, np.where(s_r <= 0.0, a1r, a1_face))
     # face value of the alpha1-equation flux, same sampling as the F-flux
-    phi_a1 = np.where(s_m1 >= 0.0, phi_star_l[..., 0], phi_star_r[..., 0])
-    phi_a1 = np.where(s_l >= 0.0, au1l, phi_a1)
-    phi_a1 = np.where(s_r <= 0.0, au1r, phi_a1)
-
-    a2_face = 1.0 - a1_face
-    f_star_l, f_star_r = (
-        _f_from_phi(phi, p_i, a1_face, a2_face, phi[..., 0], -phi[..., 0])
-        for phi in (phi_star_l, phi_star_r))
-    # the sides' F-fluxes from their local states: no second EOS pass
-    fl = _phys_flux_of(wl, vl[..., 2], vl[..., 3], vl[..., 6], vl[..., 7])
-    fr = _phys_flux_of(wr, vr[..., 2], vr[..., 3], vr[..., 6], vr[..., 7])
-    s_m1_e = s_m1[..., None]
-    flux = np.where(s_m1_e >= 0.0, f_star_l, f_star_r)
-    flux = np.where(np.asarray(s_l)[..., None] >= 0.0, fl, flux)
-    flux = np.where(np.asarray(s_r)[..., None] <= 0.0, fr, flux)
+    phi_a1 = phi_star[..., 0]
+    flux = _f_from_phi(phi_star, p_i, a1_face, 1.0 - a1_face, phi_a1,
+                       -phi_a1)
+    # supersonic faces take a side's F-flux, built from its local state
+    # (no second EOS pass) and only when some face needs it
+    for sup, w, v, a1, au1 in ((s_l >= 0.0, wl, vl, a1l, au1l),
+                               (s_r <= 0.0, wr, vr, a1r, au1r)):
+        if sup.any():
+            a1_face = np.where(sup, a1, a1_face)
+            phi_a1 = np.where(sup, au1, phi_a1)
+            np.copyto(flux, _phys_flux_of(w, v[..., 2], v[..., 3], v[..., 6],
+                                          v[..., 7]), where=sup[..., None])
     return TwoPhaseFan(
         f_flux=flux, alpha_face=a1_face, phi_alpha_face=phi_a1, p_i=p_i,
         s_l=s_l, s_m1=s_m1, s_m2=s_m2, s_r=s_r,
-        u_star_l=u_star_l, u_star_r=u_star_r,
-        flux_l=phi_star_l, flux_r=phi_star_r, beta=beta,
+        u_star_l=u_star_l, u_star_r=u_star_r, beta=beta,
         n_fallback=n_fallback)
 
 
@@ -414,11 +419,10 @@ def _tp_fan_common(wl, wr, eos1, eos2):
 
 
 def tp_hll_flux(wl, wr, eos1, eos2):
-    """Pure two-phase HLL flux: both star states equal the HLL state."""
+    """Pure two-phase HLL flux: both star states are the HLL state array."""
     (wl, wr, vl, vr, phil, phir, u_hll,
      s_l, s_m1, s_m2, s_r, rho2_bar, p_i) = _tp_fan_common(wl, wr, eos1, eos2)
-    return _tp_flux_from_fan(wl, wr, vl, vr, phil, phir, u_hll,
-                             np.copy(u_hll), np.copy(u_hll),
+    return _tp_flux_from_fan(wl, wr, vl, vr, phil, phir, u_hll, u_hll,
                              s_l, s_m1, s_m2, s_r, p_i, 0.0)
 
 
@@ -432,9 +436,9 @@ def rsir_tp_flux(wl, wr, eos1, eos2, beta):
         u_hll, wl, wr, s_l, s_m1, s_m2, s_r, rho2_bar, p_i, beta, eos1, eos2)
     n_fallback = int(np.count_nonzero(bad))
     if n_fallback:
-        u_star_l = np.where(bad[..., None], u_hll, u_star_l)
-        u_star_r = np.where(bad[..., None], u_hll, u_star_r)
-    return _tp_flux_from_fan(wl, wr, vl, vr, phil, phir, u_hll,
+        np.copyto(u_star_l, u_hll, where=bad[..., None])
+        np.copyto(u_star_r, u_hll, where=bad[..., None])
+    return _tp_flux_from_fan(wl, wr, vl, vr, phil, phir,
                              u_star_l, u_star_r, s_l, s_m1, s_m2, s_r,
                              p_i, beta, n_fallback)
 

@@ -116,3 +116,15 @@ def test_rejected_eos_override_is_a_config_error(tmp_path, capsys, case,
     assert code == 2
     assert err.startswith("error: ") and override.split("=")[0] in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "no-such-case"],
+    ["run", "euler-shock-tube", "--set", "eos1.preset=foo"],
+])
+def test_unknown_name_error_is_not_quoted(tmp_path, capsys, args):
+    code, _, err = run_cli(args + ["--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "unknown" in err
+    assert err.count("\n") == 1 and err.count("error:") == 1
+    assert '"' not in err

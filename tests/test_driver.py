@@ -287,3 +287,72 @@ def test_run_returns_component_major_states(name):
     for state in [res.final_cons] + [w for _, w in res.snapshots]:
         for k in range(state.shape[1]):
             assert state[:, k].flags.c_contiguous, k
+
+
+def test_relaxation_report_is_kept_in_the_manifest(monkeypatch):
+    """Every step's RelaxReport feeds relax_bisection_steps and
+    max_relax_residual; runs without relaxation record 0 and 0.0."""
+    case = cases.builtin_case("tp-shock-tube")
+    assert case.pressure_relax
+    res = driver.run(case)
+    m = res.manifest
+    assert m["relax_bisection_steps"] == 0
+    assert 0.0 < m["max_relax_residual"] < 1e-9
+    # count what the relaxation reports: bisection on every other call
+    original = driver._relax.pressure_relax_stiff
+    reports = []
+
+    def relax(uc, eos1, eos2):
+        out, report = original(uc, eos1, eos2)
+        report.iterations = len(reports) % 2
+        reports.append(report)
+        return out, report
+
+    monkeypatch.setattr(driver._relax, "pressure_relax_stiff", relax)
+    m = driver.run(case).manifest
+    assert m["relax_bisection_steps"] == len(reports) // 2 == m["steps"] // 2
+    assert m["max_relax_residual"] == max(r.residual for r in reports)
+    for name in ("euler-shock-tube", "tp-alpha-transport"):
+        m = driver.run(cases.builtin_case(name)).manifest
+        assert m["relax_bisection_steps"] == 0
+        assert m["max_relax_residual"] == 0.0
+
+
+def _defect_from_cell_totals(totals, u0, u1, f, lam):
+    """The audit as one totals call per array: cell rows -> totals."""
+    budget = (totals(u1) - totals(u0)
+              + lam * (totals(f[-1:]) - totals(f[:1])))
+    denom = totals(np.abs(u1))
+    denom[-2] = max(denom[-2], np.sqrt(sum(denom[:-2]) * denom[-1]))
+    return float(np.max(np.abs(budget) / denom))
+
+
+def _tp_cell_totals(u):
+    return np.array([np.sum(u[:, 1]), np.sum(u[:, 4]),
+                     np.sum(u[:, 2] + u[:, 5]), np.sum(u[:, 3] + u[:, 6])])
+
+
+@pytest.mark.parametrize("name", ["euler-shock-tube", "tp-shock-tube"])
+def test_defect_from_column_sums_matches_the_cell_totals(monkeypatch, name):
+    """The audit from one column sum per array equals the one that sums
+    the audited combinations cell by cell: bitwise for Euler, within
+    1e-15 for the two-phase model, on every step of a run."""
+    original = driver._defect
+    seen = []
+
+    def defect(totals, u0, u1, f, lam):
+        value = original(totals, u0, u1, f, lam)
+        seen.append((value, u0, u1, f, lam))
+        return value
+
+    monkeypatch.setattr(driver, "_defect", defect)
+    driver.run(cases.builtin_case(name))
+    assert seen
+    for value, u0, u1, f, lam in seen:
+        if name.startswith("euler"):
+            ref = _defect_from_cell_totals(lambda u: np.sum(u, axis=0),
+                                           u0, u1, f, lam)
+            assert value == ref
+        else:
+            ref = _defect_from_cell_totals(_tp_cell_totals, u0, u1, f, lam)
+            assert abs(value - ref) <= 1e-15

@@ -201,3 +201,61 @@ def test_outputs_do_not_depend_on_the_input_layout(drawn):
                 "tp_prim_from_cons"):
         for j in range(ref[key].shape[-1]):
             assert ref[key][:, j].flags.c_contiguous, (key, j)
+
+
+# -- two-phase fluxes ---------------------------------------------------------
+
+@st.composite
+def tp_state_pairs(draw):
+    """(wl, wr): 1 to 16 two-phase interfaces (water-SG in air)."""
+    n = draw(st.integers(1, 16))
+    return _tp_states(draw, n), _tp_states(draw, n)
+
+
+@PROPERTY
+@given(tp_state_pairs())
+def test_rsir_tp_at_beta_zero_is_tp_hll_bitwise(drawn):
+    wl, wr = drawn
+    rec = twophase.rsir_tp_flux(wl, wr, *TP_EOS, 0.0)
+    hll = twophase.tp_hll_flux(wl, wr, *TP_EOS)
+    for name in ("f_flux", "alpha_face", "phi_alpha_face", "u_star_l",
+                 "u_star_r"):
+        assert np.array_equal(getattr(rec, name), getattr(hll, name)), name
+
+
+@PROPERTY
+@given(tp_state_pairs())
+def test_every_two_phase_flux_is_consistent(drawn):
+    """F(w, w) = phys_flux(w) within the rounding scale of a fan sum,
+    |F| + S |U| + p_1 + p_2, where S bounds the signal speeds and the
+    pressures bound the frozen-p_i corrections."""
+    w, _ = drawn
+    f = twophase.phys_flux(w, *TP_EOS)
+    uc = twophase.tp_cons_from_prim(w, *TP_EOS)
+    speed = twophase.rusanov_speed(w, w, TP_EOS[1])
+    scale = (np.abs(f) + speed[:, None] * np.abs(uc)
+             + (w[:, 3] + w[:, 6])[:, None])
+    for name, flux in TP_FLUXES.items():
+        err = np.abs(flux(w, w).f_flux - f)
+        assert np.all(err <= 1e-12 * scale), name
+
+
+@PROPERTY
+@given(tp_state_pairs())
+def test_rsir_tp_fallback_interfaces_carry_the_hll_star_state(drawn):
+    """At beta = 1 the interfaces counted in n_fallback are exactly those
+    whose reconstruction is inadmissible; they carry the HLL star states,
+    flux and face values bitwise, and the others keep the reconstruction."""
+    wl, wr = drawn
+    rec = twophase.rsir_tp_flux(wl, wr, *TP_EOS, 1.0)
+    hll = twophase.tp_hll_flux(wl, wr, *TP_EOS)
+    u_star_l, u_star_r, bad = twophase.rsir_reconstruct(
+        hll.u_star_l, wl, wr, hll.s_l, hll.s_m1, hll.s_m2, hll.s_r,
+        hll.u_star_l[:, 5] / hll.u_star_l[:, 4], hll.p_i, 1.0, *TP_EOS)
+    assert rec.n_fallback == np.count_nonzero(bad)
+    for name in ("u_star_l", "u_star_r", "f_flux", "alpha_face",
+                 "phi_alpha_face"):
+        assert np.array_equal(getattr(rec, name)[bad],
+                              getattr(hll, name)[bad]), name
+    assert np.array_equal(rec.u_star_l[~bad], u_star_l[~bad])
+    assert np.array_equal(rec.u_star_r[~bad], u_star_r[~bad])

@@ -120,9 +120,16 @@ def test_psi_vanishes_at_beta_zero(rng):
     (wl, wr, vl, vr, phil, phir, u_hll,
      s_l, s_m1, s_m2, s_r, rho2_bar, p_i) = tp._tp_fan_common(
          wl, wr, WATER, AIR)
-    psi = tp._tp_psi(wl, wr, s_m1, s_m2, rho2_bar, p_i, 0.0, WATER, AIR,
-                     u_hll[..., 1], u_hll[..., 1])
-    assert np.all(psi == 0.0)
+    om_l = (s_m1 - s_l) / (s_r - s_l)
+    om_r = (s_r - s_m1) / (s_r - s_l)
+    psi = tp._tp_psi(wl, wr, u_hll, s_m1, s_m2, rho2_bar, p_i, om_l, om_r,
+                     0.0, WATER, AIR)
+    assert psi.shape == u_hll.shape and np.all(psi == 0.0)
+    # so both star states, their phase-1 energies included, are U_HLL
+    u_star_l, u_star_r, _ = tp.rsir_reconstruct(
+        u_hll, wl, wr, s_l, s_m1, s_m2, s_r, rho2_bar, p_i, 0.0, WATER, AIR)
+    for star in (u_star_l, u_star_r):
+        assert np.array_equal(star, u_hll)
 
 
 def test_mechanical_equilibrium_flux_is_exact():
@@ -166,3 +173,26 @@ def test_mixture_entropy_finite(rng):
     w, _ = random_twophase_states(rng, 50, WATER, AIR)
     s = tp.mixture_entropy(w, WATER, AIR)
     assert np.all(np.isfinite(s))
+
+
+@pytest.mark.parametrize("batch", [(), (2,)])
+def test_cons_and_local_flux_is_local_state_and_flux_without_alpha2(
+        rng, batch):
+    """The predictor's 7-slot pair equals the 8-slot local state and flux
+    less slot 4, bitwise, on component-major (n, 7) and (2, n, 7)."""
+    n = 64
+    states = np.stack([random_twophase_states(rng, n, WATER, AIR)[0]
+                       for _ in range(2)])
+    w = np.moveaxis(np.empty((7,) + batch + (n,)), 0, -1)
+    w[...] = states if batch else states[0]
+    p_i = w[..., 3] * rng.uniform(0.5, 2.0, size=w.shape[:-1])
+    uc, phi = tp.tp_cons_and_local_flux(w, p_i, WATER, AIR)
+    v8, phi8 = tp.local_state_and_flux(w, p_i, WATER, AIR)
+    keep = [0, 1, 2, 3, 5, 6, 7]
+    assert uc.shape == phi.shape == batch + (n, 7)
+    assert np.array_equal(uc, v8[..., keep])
+    assert np.array_equal(phi, phi8[..., keep])
+    assert np.array_equal(uc, tp.tp_cons_from_prim(w, WATER, AIR))
+    for j in range(7):
+        assert uc[..., j].flags.c_contiguous
+        assert phi[..., j].flags.c_contiguous
