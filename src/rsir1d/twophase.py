@@ -357,7 +357,7 @@ def rsir_reconstruct(u_hll, wl, wr, s_l, s_m1, s_m2, s_r, rho2_bar, p_i,
     carrier-density closure for phase 2.
 
     Returns (u_star_l, u_star_r, bad) where ``bad`` flags interfaces whose
-    reconstruction left the admissible region (caller falls back to beta=0).
+    inadmissible reconstruction the caller's beta=0 fallback changes.
     """
     om_l = (s_m1 - s_l) / (s_r - s_l)
     om_r = (s_r - s_m1) / (s_r - s_l)
@@ -370,6 +370,8 @@ def rsir_reconstruct(u_hll, wl, wr, s_l, s_m1, s_m2, s_r, rho2_bar, p_i,
         bad |= (star[..., 0] < ALPHA_FLOOR) | (star[..., 0] > 1.0 - ALPHA_FLOOR)
         bad |= (star[..., 4] < ALPHA_FLOOR) | (star[..., 4] > 1.0 - ALPHA_FLOOR)
         bad |= (star[..., 1] <= 0.0) | (star[..., 5] <= 0.0)
+    if bad.any():
+        bad &= ((u_star_l != u_hll) | (u_star_r != u_hll)).any(axis=-1)
     return u_star_l, u_star_r, bad
 
 

@@ -8,6 +8,7 @@ from rsir1d import eos as _eos
 from rsir1d import euler as _euler
 from rsir1d import exact_riemann as ex
 from rsir1d import twophase as tp
+from rsir1d.eos import EosDomainError
 
 
 def test_mesh_basics():
@@ -290,8 +291,9 @@ def test_run_returns_component_major_states(name):
 
 
 def test_relaxation_report_is_kept_in_the_manifest(monkeypatch):
-    """Every step's RelaxReport feeds relax_bisection_steps and
-    max_relax_residual; runs without relaxation record 0 and 0.0."""
+    """Every step's RelaxReport feeds relax_bisection_steps,
+    max_relax_residual and max_relax_energy_defect; runs without
+    relaxation record 0 and 0.0."""
     case = cases.builtin_case("tp-shock-tube")
     assert case.pressure_relax
     res = driver.run(case)
@@ -312,10 +314,13 @@ def test_relaxation_report_is_kept_in_the_manifest(monkeypatch):
     m = driver.run(case).manifest
     assert m["relax_bisection_steps"] == len(reports) // 2 == m["steps"] // 2
     assert m["max_relax_residual"] == max(r.residual for r in reports)
+    assert m["max_relax_energy_defect"] == max(r.conservation_defect
+                                               for r in reports)
     for name in ("euler-shock-tube", "tp-alpha-transport"):
         m = driver.run(cases.builtin_case(name)).manifest
         assert m["relax_bisection_steps"] == 0
         assert m["max_relax_residual"] == 0.0
+        assert m["max_relax_energy_defect"] == 0.0
 
 
 def _defect_from_cell_totals(totals, u0, u1, f, lam):
@@ -356,3 +361,89 @@ def test_defect_from_column_sums_matches_the_cell_totals(monkeypatch, name):
         else:
             ref = _defect_from_cell_totals(_tp_cell_totals, u0, u1, f, lam)
             assert abs(value - ref) <= 1e-15
+
+
+def _assert_same_run(res, ref):
+    """Final state, every snapshot and the manifest but wall_time, bitwise."""
+    assert res.final_cons.tobytes() == ref.final_cons.tobytes()
+    assert len(res.snapshots) == len(ref.snapshots)
+    for (t, w), (t_ref, w_ref) in zip(res.snapshots, ref.snapshots):
+        assert t == t_ref and w.tobytes() == w_ref.tobytes()
+    skip = {"wall_time"}
+    assert ({k: v for k, v in res.manifest.items() if k not in skip}
+            == {k: v for k, v in ref.manifest.items() if k not in skip})
+
+
+def _blocking_cases():
+    euler = replace(cases.builtin_case("euler-shock-tube"), n_cells=24,
+                    output_times=(1e-4,), end_time=2e-4)
+    for solver in cases.EULER_SOLVERS:
+        for limiter in ("minmod", "none"):
+            for bc in ("transmissive", "reflective", "periodic"):
+                yield (f"{solver}-{limiter}-{bc}",
+                       replace(euler, solver=solver, limiter=limiter,
+                               boundary=bc))
+    tp = replace(cases.builtin_case("tp-shock-tube-long"), n_cells=40,
+                 output_times=(2e-4,), end_time=4e-4)
+    assert tp.pressure_relax
+    for solver in cases.TWOPHASE_SOLVERS:
+        yield f"tp-{solver}", replace(tp, solver=solver)
+    yield ("tp-rsir-tp-clift-gauvin",
+           replace(tp, solver="rsir-tp", drag_model="clift-gauvin"))
+    yield ("air-double-expansion",
+           replace(cases.builtin_case("euler-shock-tube"),
+                   name="air-double-expansion", limiter="none",
+                   left=(0.05, -600.0, 1e4), right=(5.0, 600.0, 2e5),
+                   end_time=2e-4))
+
+
+@pytest.mark.parametrize("case", [pytest.param(c, id=label)
+                                  for label, c in _blocking_cases()])
+def test_blocked_step_equals_one_block(monkeypatch, case):
+    """Blocks of 1, 2 and 7 faces give the single-block run bit for bit,
+    fallback and clamp counters included."""
+    case = case.validate()
+    ref = driver.run(case)
+    assert case.n_cells + 1 <= driver._BLOCK_FACES
+    if case.name == "air-double-expansion":  # each fallback counted once
+        assert ref.manifest["positivity_fallbacks"] == 2
+    for size in (1, 2, 7):
+        monkeypatch.setattr(driver, "_BLOCK_FACES", size)
+        _assert_same_run(driver.run(case), ref)
+
+
+def _run_failing_once(monkeypatch, case, failing_call):
+    """Run ``case`` with its interface flux raising EosDomainError on the
+    ``failing_call``-th call only."""
+    calls = []
+    flux_fn = driver._euler_flux_fn
+
+    def failing_flux_fn(solver, eos, beta):
+        flux = flux_fn(solver, eos, beta)
+
+        def wrapped(wl, wr):
+            calls.append(len(wl))
+            if len(calls) == failing_call:
+                raise EosDomainError("injected")
+            return flux(wl, wr)
+        return wrapped
+
+    monkeypatch.setattr(driver, "_euler_flux_fn", failing_flux_fn)
+    return driver.run(case), calls
+
+
+def test_a_failing_block_rejects_the_whole_step(monkeypatch):
+    """A block that raises rejects its step after earlier blocks of that
+    step finished: the run equals a single-block run whose step raised at
+    the same step, and no partial update leaks into the state."""
+    case = replace(cases.builtin_case("euler-shock-tube"), solver="rsir",
+                   n_cells=24, end_time=2e-4)
+    step = 3
+    ref, calls = _run_failing_once(monkeypatch, case, step + 1)
+    assert ref.manifest["dt_rejections"] == 1
+    assert calls[step] == case.n_cells + 1
+    monkeypatch.setattr(driver, "_BLOCK_FACES", 7)  # 4 blocks per step
+    res, calls = _run_failing_once(monkeypatch, case, 4 * step + 2)
+    assert calls[4 * step:4 * step + 2] == [7, 7]
+    assert res.manifest["dt_rejections"] == 1
+    _assert_same_run(res, ref)

@@ -221,6 +221,8 @@ def test_rsir_tp_at_beta_zero_is_tp_hll_bitwise(drawn):
     for name in ("f_flux", "alpha_face", "phi_alpha_face", "u_star_l",
                  "u_star_r"):
         assert np.array_equal(getattr(rec, name), getattr(hll, name)), name
+    # nothing falls back where the star states already are U_HLL
+    assert rec.n_fallback == 0
 
 
 @PROPERTY
