@@ -94,6 +94,8 @@ class CaseConfig:
                         f"state.{side} volume fraction must lie in (0, 1)")
         if self.end_time <= 0.0:
             raise ConfigError("time.end must be positive")
+        if not all(0.0 <= t <= self.end_time for t in self.output_times):
+            raise ConfigError("time.outputs must lie in [0, time.end]")
         if not self.x_min < self.x_disc < self.x_max:
             raise ConfigError("mesh.x_disc must lie inside the domain")
         if self.drag_model not in ("none", "constant", "clift-gauvin"):

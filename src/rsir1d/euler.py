@@ -50,7 +50,6 @@ class EulerFan:
 
     s_l, s_m, s_r : wave speeds
     u_star_l, u_star_r : reconstructed star states (conserved)
-    beta : reconstruction viscosity parameter in [0, 1]
     flux : sampled interface flux
     n_fallback : interfaces given the HLL star state because the
                  reconstructed one was inadmissible
@@ -61,7 +60,6 @@ class EulerFan:
     s_r: np.ndarray
     u_star_l: np.ndarray
     u_star_r: np.ndarray
-    beta: float
     flux: np.ndarray
     n_fallback: int = 0
 
@@ -149,8 +147,11 @@ def hll_state(ul, ur, fl, fr, s_l, s_r):
     _check_fan(s_l, s_r)
     s_l = np.asarray(s_l, float)[..., None]
     s_r = np.asarray(s_r, float)[..., None]
-    return (np.asarray(fr, float) - np.asarray(fl, float)
-            + s_l * np.asarray(ul, float) - s_r * np.asarray(ur, float)) / (s_l - s_r)
+    u_hll = np.subtract(fr, fl, dtype=float)
+    u_hll += s_l * np.asarray(ul, float)
+    u_hll -= s_r * np.asarray(ur, float)
+    u_hll /= s_l - s_r
+    return u_hll
 
 
 def contact_speed(wl, wr, s_l, s_r):
@@ -169,25 +170,23 @@ def contact_speed(wl, wr, s_l, s_r):
 
 
 def rusanov_flux(wl, wr, eos):
-    """Rusanov flux with S = max(|u| + c) over both states."""
-    wl = np.asarray(wl, float)
-    wr = np.asarray(wr, float)
-    cl = _eos.sound_speed(eos, wl[..., 0], wl[..., 2])
-    cr = _eos.sound_speed(eos, wr[..., 0], wr[..., 2])
-    s = np.maximum(np.abs(wl[..., 1]) + cl, np.abs(wr[..., 1]) + cr)[..., None]
+    """Rusanov flux with S = max(|u| + c) over both states, which is
+    max(-S_L, S_R) of the Davis bounds."""
+    s_l, s_r = davis_wave_speeds(wl, wr, eos)
+    s = np.maximum(-s_l, s_r)[..., None]
     ul, fl = cons_and_flux(wl, eos)
     ur, fr = cons_and_flux(wr, eos)
     return 0.5 * (fr + fl - s * (ur - ul))
 
 
-def _sample(fl, fr, f_star_l, f_star_r, s_l, s_m, s_r):
-    """Four-branch flux sampling.  At S_M = 0 the left star flux is used."""
-    s_l = np.asarray(s_l, float)[..., None]
-    s_m = np.asarray(s_m, float)[..., None]
-    s_r = np.asarray(s_r, float)[..., None]
-    out = np.where(s_m >= 0.0, f_star_l, f_star_r)
-    out = np.where(s_l >= 0.0, fl, out)
-    out = np.where(s_r <= 0.0, fr, out)
+def _star_flux(u_star_l, u_star_r, ul, ur, fl, fr, s_l, s_m, s_r):
+    """Star flux F + S (U* - U) of the side of S_M each face is on (the
+    left side at S_M = 0), selecting that side's arrays first."""
+    left = (s_m >= 0.0)[..., None]
+    out = np.where(left, u_star_l, u_star_r)
+    out -= np.where(left, ul, ur)
+    out *= np.where(left[..., 0], s_l, s_r)[..., None]
+    out += np.where(left, fl, fr)
     return out
 
 
@@ -202,14 +201,14 @@ def _fan_common(wl, wr, eos):
     return wl, wr, ul, ur, fl, fr, u_hll, s_l, s_m, s_r
 
 
-def _build_fan(ul, ur, fl, fr, u_star_l, u_star_r, s_l, s_m, s_r, beta,
+def _build_fan(ul, ur, fl, fr, u_star_l, u_star_r, s_l, s_m, s_r,
                n_fallback=0):
-    f_star_l = fl + np.asarray(s_l)[..., None] * (u_star_l - ul)
-    f_star_r = fr + np.asarray(s_r)[..., None] * (u_star_r - ur)
-    flux = _sample(fl, fr, f_star_l, f_star_r, s_l, s_m, s_r)
+    """F_L where S_L >= 0, F_R where S_R <= 0, else the star flux."""
+    flux = _star_flux(u_star_l, u_star_r, ul, ur, fl, fr, s_l, s_m, s_r)
+    np.copyto(flux, fl, where=(s_l >= 0.0)[..., None])
+    np.copyto(flux, fr, where=(s_r <= 0.0)[..., None])
     return EulerFan(s_l=s_l, s_m=s_m, s_r=s_r, u_star_l=u_star_l,
-                    u_star_r=u_star_r, beta=beta, flux=flux,
-                    n_fallback=n_fallback)
+                    u_star_r=u_star_r, flux=flux, n_fallback=n_fallback)
 
 
 def hll_flux(wl, wr, eos):
@@ -217,8 +216,7 @@ def hll_flux(wl, wr, eos):
     family: both star states equal U*_HLL, fluxes through the per-wave
     Rankine-Hugoniot relations, same sampling as the two-state solvers."""
     wl, wr, ul, ur, fl, fr, u_hll, s_l, s_m, s_r = _fan_common(wl, wr, eos)
-    return _build_fan(ul, ur, fl, fr, np.copy(u_hll), np.copy(u_hll),
-                      s_l, s_m, s_r, 0.0)
+    return _build_fan(ul, ur, fl, fr, u_hll, u_hll, s_l, s_m, s_r)
 
 
 def _check_beta(beta):
@@ -234,7 +232,7 @@ def linde_flux(wl, wr, eos, beta):
     jump = beta * (ur - ul)
     u_star_l = u_hll - om_r[..., None] * jump
     u_star_r = u_hll + om_l[..., None] * jump
-    return _build_fan(ul, ur, fl, fr, u_star_l, u_star_r, s_l, s_m, s_r, beta)
+    return _build_fan(ul, ur, fl, fr, u_star_l, u_star_r, s_l, s_m, s_r)
 
 
 def _weights(s_l, s_m, s_r):
@@ -284,7 +282,7 @@ def rsir_flux(wl, wr, eos, beta):
         u_star_l[bad] = u_hll[bad]
         u_star_r[bad] = u_hll[bad]
     return _build_fan(ul, ur, fl, fr, u_star_l, u_star_r, s_l, s_m, s_r,
-                      beta, n_fallback)
+                      n_fallback)
 
 
 def hllc_flux(wl, wr, eos):
@@ -299,4 +297,4 @@ def hllc_flux(wl, wr, eos):
 
     u_star_l = star(wl, ul, s_l)
     u_star_r = star(wr, ur, s_r)
-    return _build_fan(ul, ur, fl, fr, u_star_l, u_star_r, s_l, s_m, s_r, 1.0)
+    return _build_fan(ul, ur, fl, fr, u_star_l, u_star_r, s_l, s_m, s_r)

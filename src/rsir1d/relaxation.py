@@ -194,7 +194,7 @@ def clift_gauvin_cd(re):
     return np.where(re < 800.0, low, 0.438)
 
 
-def drag_clift_gauvin(uc, radius, mu2, dt, n_sub=None):
+def drag_clift_gauvin(uc, radius, mu2, dt):
     """Clift-Gauvin drag over one step, sub-cycled with the drag
     coefficient frozen inside each internal step.
 
@@ -207,8 +207,7 @@ def drag_clift_gauvin(uc, radius, mu2, dt, n_sub=None):
     a1 = uc[..., 0]
     remaining = dt
     steps = 0
-    max_steps = 10_000 if n_sub is None else n_sub
-    while remaining > 0.0 and steps < max_steps:
+    while remaining > 0.0 and steps < 10_000:
         m1, q1 = uc[..., 1], uc[..., 2]
         m2, q2 = uc[..., 4], uc[..., 5]
         u1 = q1 / m1
@@ -223,7 +222,7 @@ def drag_clift_gauvin(uc, radius, mu2, dt, n_sub=None):
             du > 0.0, 3.0 / (8.0 * radius) * a1 * np.where(du > 0.0, cd, 0.0)
             * rho2 * du, 0.0)
         tau = 1.0 / (np.max(lam_eff * (1.0 / m1 + 1.0 / m2)) + 1e-300)
-        sub_dt = min(remaining, 0.2 * tau) if n_sub is None else dt / n_sub
+        sub_dt = min(remaining, 0.2 * tau)
         factor = np.exp(-lam_eff * sub_dt * (1.0 / m1 + 1.0 / m2))
         uc = _apply_velocity_update(uc, factor)
         remaining -= sub_dt

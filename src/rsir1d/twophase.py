@@ -20,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eos as _eos
-from .euler import (DegenerateFanError, PositivityError, _check_beta,
-                    _component_major, _stack_last)
+from . import euler as _euler
+from .euler import (PositivityError, _check_beta, _component_major,
+                    _stack_last, _star_flux, _weights)
 
 __all__ = [
     "ALPHA_FLOOR",
@@ -31,8 +32,6 @@ __all__ = [
     "tp_prim_from_cons",
     "alpha_clamps",
     "interfacial_pressure",
-    "local_state",
-    "local_flux",
     "local_state_and_flux",
     "tp_cons_and_local_flux",
     "phys_flux",
@@ -78,7 +77,6 @@ class TwoPhaseFan(TwoPhaseFaceFlux):
     s_r: np.ndarray = None
     u_star_l: np.ndarray = None
     u_star_r: np.ndarray = None
-    beta: float = 1.0
     n_fallback: int = 0
 
 
@@ -155,18 +153,6 @@ def interfacial_pressure(wl, wr):
                     np.where(a1l < a1r, p1r, 0.5 * (p1l + p1r)))
 
 
-def local_state(uc):
-    """7-component conserved vector -> 8-component local-conservative state."""
-    uc = np.asarray(uc, dtype=float)
-    return np.concatenate([
-        uc[..., :4], 1.0 - uc[..., :1], uc[..., 4:]], axis=-1)
-
-
-def local_flux(w, p_i, eos1, eos2):
-    """Flux of the locally conservative system for frozen p_i (8 slots)."""
-    return local_state_and_flux(w, p_i, eos1, eos2)[1]
-
-
 def _local_columns(w, p_i, eos1, eos2):
     """(state columns, flux columns) of :func:`local_state_and_flux` less
     its alpha2 slot 4, and that slot's (alpha2, alpha1 u1)."""
@@ -181,7 +167,8 @@ def _local_columns(w, p_i, eos1, eos2):
 
 
 def local_state_and_flux(w, p_i, eos1, eos2):
-    """``local_state(tp_cons_from_prim(w))`` and ``local_flux(w, p_i)``,
+    """The 8-slot local-conservative state of primitive states ``w`` and
+    the flux of the locally conservative system for frozen ``p_i``,
     sharing one internal-energy evaluation per phase."""
     v, phi, a2, au1 = _local_columns(w, p_i, eos1, eos2)
     return (_stack_last(v[:4] + [a2] + v[4:]),
@@ -211,32 +198,21 @@ def _phys_flux_of(w, q1, en1, q2, en2):
                         q2, q2 * u2 + a2 * p2, (en2 + a2 * p2) * u2))
 
 
-def _eigen_extrema(w, eos2):
-    c2 = _eos.sound_speed(eos2, w[..., 4], w[..., 6])
-    u1 = w[..., 2]
-    u2 = w[..., 5]
-    lo = np.minimum(u1, u2 - c2)
-    hi = np.maximum(u1, u2 + c2)
-    return lo, hi
-
-
 def tp_wave_bounds(wl, wr, eos2):
     """Davis-type exterior bounds over the eigenvalues u1, u2 -+ c2."""
-    wl = np.asarray(wl, float)
-    wr = np.asarray(wr, float)
-    lo_l, hi_l = _eigen_extrema(wl, eos2)
-    lo_r, hi_r = _eigen_extrema(wr, eos2)
-    return np.minimum(lo_l, lo_r), np.maximum(hi_l, hi_r)
+    lo, hi = [], []
+    for w in (np.asarray(wl, float), np.asarray(wr, float)):
+        c2 = _eos.sound_speed(eos2, w[..., 4], w[..., 6])
+        lo.append(np.minimum(w[..., 2], w[..., 5] - c2))
+        hi.append(np.maximum(w[..., 2], w[..., 5] + c2))
+    return np.minimum(*lo), np.maximum(*hi)
 
 
 def rusanov_speed(wl, wr, eos2):
-    """S = max over both states of max_k |lambda_k|."""
-    wl = np.asarray(wl, float)
-    wr = np.asarray(wr, float)
-    lo_l, hi_l = _eigen_extrema(wl, eos2)
-    lo_r, hi_r = _eigen_extrema(wr, eos2)
-    return np.maximum(np.maximum(np.abs(lo_l), hi_l),
-                      np.maximum(np.abs(lo_r), hi_r))
+    """S = max over both states of max_k |lambda_k|, which is
+    max(-S_L, S_R) of :func:`tp_wave_bounds`."""
+    s_l, s_r = tp_wave_bounds(wl, wr, eos2)
+    return np.maximum(-s_l, s_r)
 
 
 def rusanov_basic_flux(wl, wr, eos1, eos2):
@@ -295,14 +271,7 @@ def tp_hll_state(vl, vr, phil, phir, s_l, s_r):
 
     Returns (u_hll, s_m1, s_m2, rho2_bar).
     """
-    if (np.subtract(s_r, s_l) <= 0.0).any():
-        raise DegenerateFanError("degenerate two-phase fan: S_L >= S_R")
-    sl = np.asarray(s_l, float)[..., None]
-    sr = np.asarray(s_r, float)[..., None]
-    u_hll = np.subtract(phir, phil, dtype=float)
-    u_hll += sl * np.asarray(vl, float)
-    u_hll -= sr * np.asarray(vr, float)
-    u_hll /= sl - sr
+    u_hll = _euler.hll_state(vl, vr, phil, phir, s_l, s_r)
     for slot, name in ((1, "phase 1"), (5, "phase 2")):
         if (u_hll[..., slot] <= 0.0).any():
             raise PositivityError(
@@ -359,8 +328,7 @@ def rsir_reconstruct(u_hll, wl, wr, s_l, s_m1, s_m2, s_r, rho2_bar, p_i,
     Returns (u_star_l, u_star_r, bad) where ``bad`` flags interfaces whose
     inadmissible reconstruction the caller's beta=0 fallback changes.
     """
-    om_l = (s_m1 - s_l) / (s_r - s_l)
-    om_r = (s_r - s_m1) / (s_r - s_l)
+    om_l, om_r = _weights(s_l, s_m1, s_r)
     psi = _tp_psi(wl, wr, u_hll, s_m1, s_m2, rho2_bar, p_i, om_l, om_r, beta,
                   eos1, eos2)
     u_star_l = u_hll - om_r[..., None] * psi
@@ -376,14 +344,9 @@ def rsir_reconstruct(u_hll, wl, wr, s_l, s_m1, s_m2, s_r, rho2_bar, p_i,
 
 
 def _tp_flux_from_fan(wl, wr, vl, vr, phil, phir, u_star_l, u_star_r,
-                      s_l, s_m1, s_m2, s_r, p_i, beta, n_fallback=0):
-    # the star flux phi + S (U* - v) of the face's side of S_M1 only
-    left = (s_m1 >= 0.0)[..., None]
-    phi_star = np.where(left, u_star_l, u_star_r)
-    phi_star -= np.where(left, vl, vr)
-    phi_star *= np.where(s_m1 >= 0.0, s_l, s_r)[..., None]
-    phi_star += np.where(left, phil, phir)
-
+                      s_l, s_m1, s_m2, s_r, p_i, n_fallback=0):
+    phi_star = _star_flux(u_star_l, u_star_r, vl, vr, phil, phir,
+                          s_l, s_m1, s_r)
     a1l, a1r = wl[..., 0], wr[..., 0]
     au1l = a1l * wl[..., 2]
     au1r = a1r * wr[..., 2]
@@ -405,8 +368,7 @@ def _tp_flux_from_fan(wl, wr, vl, vr, phil, phir, u_star_l, u_star_r,
     return TwoPhaseFan(
         f_flux=flux, alpha_face=a1_face, phi_alpha_face=phi_a1, p_i=p_i,
         s_l=s_l, s_m1=s_m1, s_m2=s_m2, s_r=s_r,
-        u_star_l=u_star_l, u_star_r=u_star_r, beta=beta,
-        n_fallback=n_fallback)
+        u_star_l=u_star_l, u_star_r=u_star_r, n_fallback=n_fallback)
 
 
 def _tp_fan_common(wl, wr, eos1, eos2):
@@ -425,7 +387,7 @@ def tp_hll_flux(wl, wr, eos1, eos2):
     (wl, wr, vl, vr, phil, phir, u_hll,
      s_l, s_m1, s_m2, s_r, rho2_bar, p_i) = _tp_fan_common(wl, wr, eos1, eos2)
     return _tp_flux_from_fan(wl, wr, vl, vr, phil, phir, u_hll, u_hll,
-                             s_l, s_m1, s_m2, s_r, p_i, 0.0)
+                             s_l, s_m1, s_m2, s_r, p_i)
 
 
 def rsir_tp_flux(wl, wr, eos1, eos2, beta):
@@ -442,7 +404,7 @@ def rsir_tp_flux(wl, wr, eos1, eos2, beta):
         np.copyto(u_star_r, u_hll, where=bad[..., None])
     return _tp_flux_from_fan(wl, wr, vl, vr, phil, phir,
                              u_star_l, u_star_r, s_l, s_m1, s_m2, s_r,
-                             p_i, beta, n_fallback)
+                             p_i, n_fallback)
 
 
 def mixture_entropy(w, eos1, eos2):

@@ -104,6 +104,18 @@ def test_apply_overrides():
         cases.apply_overrides(case, ["oops"])
 
 
+def test_output_times_must_lie_within_the_run():
+    """An output time past time.end (the catalog's 6e-4 and 1.2e-3 after
+    shortening the run) or before 0 is rejected, not run to."""
+    case = cases.builtin_case("tp-shock-tube-long")
+    with pytest.raises(cases.ConfigError, match="time.outputs.*time.end"):
+        cases.apply_overrides(case, ["time.end=1e-4"])
+    out = cases.apply_overrides(case, ["time.end=1e-4", "time.outputs="])
+    assert out.end_time == 1e-4 and out.output_times == ()
+    with pytest.raises(cases.ConfigError, match="time.outputs"):
+        cases.apply_overrides(case, ["time.outputs=-1e-4"])
+
+
 def test_emit_csv_euler(tmp_path):
     case = cases.builtin_case("euler-shock-tube")
     res = driver.run(replace(case, n_cells=50, end_time=1e-4))

@@ -105,6 +105,16 @@ def test_nasg_phase_with_pressure_relaxation_is_a_config_error(tmp_path,
     assert err.count("\n") == 1
 
 
+def test_output_time_past_the_end_is_a_config_error(tmp_path, capsys):
+    code, _, err = run_cli(
+        ["run", "tp-shock-tube-long", "--set", "time.end=1e-4",
+         "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "time.outputs" in err
+    assert err.count("\n") == 1 and err.count("error:") == 1
+    assert not os.listdir(tmp_path)
+
+
 @pytest.mark.parametrize("case, override", [
     ("euler-shock-tube", "eos1.gamma=0.5"),
     ("tp-shock-tube", "eos2.b=1e-3"),

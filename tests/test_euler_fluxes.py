@@ -159,16 +159,20 @@ def test_rsir_general_contact_preservation_nasg():
     assert np.allclose(f, f_exact, rtol=1e-9, atol=1e-4)
 
 
-def test_supersonic_upwinding(rng):
-    """Fully supersonic fans return the pure upwind flux for every solver."""
-    wl = np.array([[1.0, 900.0, 1e5]])
-    wr = np.array([[0.9, 880.0, 1.1e5]])
-    f_ref = euler.physical_flux(wl, AIR)
-    for f in (euler.hll_flux(wl, wr, AIR).flux,
-              euler.hllc_flux(wl, wr, AIR).flux,
-              euler.rsir_flux(wl, wr, AIR, 1.0).flux,
-              euler.linde_flux(wl, wr, AIR, 1.0).flux):
-        assert np.array_equal(f, f_ref)
+def test_supersonic_upwinding():
+    """Fully supersonic fans, right-moving (S_L >= 0) or left-moving
+    (S_R <= 0), return the pure upwind flux for every solver."""
+    for ul, ur in ((900.0, 880.0), (-900.0, -880.0)):
+        wl = np.array([[1.0, ul, 1e5]])
+        wr = np.array([[0.9, ur, 1.1e5]])
+        s_l, s_r = euler.davis_wave_speeds(wl, wr, AIR)
+        assert s_l[0] >= 0.0 if ul > 0.0 else s_r[0] <= 0.0
+        f_ref = euler.physical_flux(wl if ul > 0.0 else wr, AIR)
+        for f in (euler.hll_flux(wl, wr, AIR).flux,
+                  euler.hllc_flux(wl, wr, AIR).flux,
+                  euler.rsir_flux(wl, wr, AIR, 1.0).flux,
+                  euler.linde_flux(wl, wr, AIR, 1.0).flux):
+            assert np.array_equal(f, f_ref)
 
 
 def test_invalid_beta_raises():

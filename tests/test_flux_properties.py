@@ -108,6 +108,48 @@ def test_rsir_falls_back_to_hll_where_the_star_state_is_inadmissible(drawn):
     assert np.array_equal(fan.u_star_r[~bad, 0], rho_r[~bad])
 
 
+FANS = {
+    "hll": lambda wl, wr, eos: euler.hll_flux(wl, wr, eos),
+    "hllc": lambda wl, wr, eos: euler.hllc_flux(wl, wr, eos),
+    "linde": lambda wl, wr, eos: euler.linde_flux(wl, wr, eos, 1.0),
+    "rsir": lambda wl, wr, eos: euler.rsir_flux(wl, wr, eos, 1.0),
+}
+
+
+@PROPERTY
+@given(state_pairs())
+def test_every_fan_flux_is_the_four_branch_sample(drawn):
+    """Each fan's flux is its star fluxes F_K + S_K (U_K* - U_K), sampled
+    at S_M (left at S_M = 0), then F_L where S_L >= 0 and F_R where
+    S_R <= 0, bitwise."""
+    eos, wl, wr = drawn
+    ul, fl = euler.cons_and_flux(wl, eos)
+    ur, fr = euler.cons_and_flux(wr, eos)
+    for name, fan_of in FANS.items():
+        fan = fan_of(wl, wr, eos)
+        f_star_l = fl + fan.s_l[:, None] * (fan.u_star_l - ul)
+        f_star_r = fr + fan.s_r[:, None] * (fan.u_star_r - ur)
+        want = np.where(fan.s_m[:, None] >= 0.0, f_star_l, f_star_r)
+        want = np.where(fan.s_l[:, None] >= 0.0, fl, want)
+        want = np.where(fan.s_r[:, None] <= 0.0, fr, want)
+        assert np.array_equal(fan.flux, want), name
+
+
+@PROPERTY
+@given(state_pairs())
+def test_rusanov_flux_uses_the_largest_speed_of_both_sides(drawn):
+    """rusanov_flux = 0.5 (F_L + F_R - S (U_R - U_L)) with
+    S = max(|u| + c) over both states, bitwise."""
+    eos, wl, wr = drawn
+    ul, fl = euler.cons_and_flux(wl, eos)
+    ur, fr = euler.cons_and_flux(wr, eos)
+    cl = _eos.sound_speed(eos, wl[:, 0], wl[:, 2])
+    cr = _eos.sound_speed(eos, wr[:, 0], wr[:, 2])
+    s = np.maximum(np.abs(wl[:, 1]) + cl, np.abs(wr[:, 1]) + cr)[:, None]
+    want = 0.5 * (fr + fl - s * (ur - ul))
+    assert np.array_equal(euler.rusanov_flux(wl, wr, eos), want)
+
+
 # -- memory layout ----------------------------------------------------------
 
 TP_EOS = (_eos.preset("water-sg"), _eos.preset("air-ideal"))
@@ -223,6 +265,22 @@ def test_rsir_tp_at_beta_zero_is_tp_hll_bitwise(drawn):
         assert np.array_equal(getattr(rec, name), getattr(hll, name)), name
     # nothing falls back where the star states already are U_HLL
     assert rec.n_fallback == 0
+
+
+@PROPERTY
+@given(tp_state_pairs())
+def test_rusanov_speed_is_the_largest_eigenvalue_magnitude(drawn):
+    """rusanov_speed = max over both states of max(|min(u1, u2 - c2)|,
+    max(u1, u2 + c2)), bitwise."""
+    wl, wr = drawn
+    speeds = []
+    for w in (wl, wr):
+        c2 = _eos.sound_speed(TP_EOS[1], w[:, 4], w[:, 6])
+        lo = np.minimum(w[:, 2], w[:, 5] - c2)
+        hi = np.maximum(w[:, 2], w[:, 5] + c2)
+        speeds.append(np.maximum(np.abs(lo), hi))
+    assert np.array_equal(twophase.rusanov_speed(wl, wr, TP_EOS[1]),
+                          np.maximum(*speeds))
 
 
 @PROPERTY

@@ -47,9 +47,9 @@ def test_interfacial_pressure_upwind_rule():
 
 
 def test_local_state_inserts_alpha2():
-    uc = tp.tp_cons_from_prim(
-        np.array([0.3, 1000.0, 10.0, 1e5, 1.0, 20.0, 1e5]), WATER, AIR)
-    v = tp.local_state(uc)
+    w = np.array([0.3, 1000.0, 10.0, 1e5, 1.0, 20.0, 1e5])
+    uc = tp.tp_cons_from_prim(w, WATER, AIR)
+    v, _ = tp.local_state_and_flux(w, 1e5, WATER, AIR)
     assert v.shape == (8,)
     assert v[4] == pytest.approx(0.7)
     assert np.allclose(v[[0, 1, 2, 3]], uc[[0, 1, 2, 3]])
@@ -61,7 +61,7 @@ def test_local_flux_reduces_to_phys_flux():
     7-slot flux of the plain formulation."""
     w = np.array([0.3, 1000.0, 10.0, 2e5, 1.0, 20.0, 1e5])
     p_i = 2e5
-    phi = tp.local_flux(w, p_i, WATER, AIR)
+    _, phi = tp.local_state_and_flux(w, p_i, WATER, AIR)
     f = tp.phys_flux(w, WATER, AIR)
     a1, a2 = 0.3, 0.7
     assert phi[2] + p_i * a1 == pytest.approx(f[2], rel=1e-13)
@@ -150,6 +150,23 @@ def test_mechanical_equilibrium_flux_is_exact():
     assert np.allclose(rec.f_flux[..., 2] + rec.p_i * (wl[..., 0] - rec.alpha_face),
                        f_exact[..., 2], rtol=1e-9)
     assert rec.n_fallback == 0
+
+
+def test_supersonic_upwinding():
+    """Both phases at +-900 m/s, so S_L >= 0 or S_R <= 0: the HLL-family
+    fluxes return the upwind state's F-flux, alpha1 and alpha1 u1
+    bitwise."""
+    for ul, ur in ((900.0, 880.0), (-900.0, -880.0)):
+        wl = np.array([[0.3, 1000.0, ul, 1e5, 1.0, ul, 1e5]])
+        wr = np.array([[0.2, 1000.0, ur, 1.1e5, 0.9, ur, 1.1e5]])
+        s_l, s_r = tp.tp_wave_bounds(wl, wr, AIR)
+        assert s_l[0] >= 0.0 if ul > 0.0 else s_r[0] <= 0.0
+        w = wl if ul > 0.0 else wr
+        for rec in (tp.tp_hll_flux(wl, wr, WATER, AIR),
+                    tp.rsir_tp_flux(wl, wr, WATER, AIR, 1.0)):
+            assert np.array_equal(rec.f_flux, tp.phys_flux(w, WATER, AIR))
+            assert np.array_equal(rec.alpha_face, w[..., 0])
+            assert np.array_equal(rec.phi_alpha_face, w[..., 0] * w[..., 2])
 
 
 def test_fallback_counted_on_inadmissible_reconstruction():
