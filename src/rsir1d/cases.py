@@ -98,8 +98,20 @@ class CaseConfig:
             raise ConfigError("time.outputs must lie in [0, time.end]")
         if not self.x_min < self.x_disc < self.x_max:
             raise ConfigError("mesh.x_disc must lie inside the domain")
+        if self.n_cells < 4:
+            raise ConfigError(f"mesh.n_cells must be at least 4 (two ghost "
+                              f"layers each side), got {self.n_cells!r}")
         if self.drag_model not in ("none", "constant", "clift-gauvin"):
             raise ConfigError(f"unknown drag model {self.drag_model!r}")
+        if not self.drag_lambda >= 0.0:
+            raise ConfigError(
+                f"drag.lambda must be >= 0, got {self.drag_lambda!r}")
+        if self.drag_model == "clift-gauvin" and not (self.drag_radius > 0.0
+                                                      and self.drag_mu2 > 0.0):
+            raise ConfigError(
+                f"drag.radius and drag.mu2 must be positive for the "
+                f"clift-gauvin model, got {self.drag_radius!r} and "
+                f"{self.drag_mu2!r}")
         if self.model == "euler" and (self.pressure_relax
                                       or self.drag_model != "none"):
             raise ConfigError("relaxation sources need the two-phase model")

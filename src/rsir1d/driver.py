@@ -65,11 +65,10 @@ class RunResult:
 
 
 def minmod(a, b):
-    """0 on sign change, otherwise the smaller-magnitude argument."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return np.where(a * b <= 0.0, 0.0,
-                    np.where(np.abs(a) < np.abs(b), a, b))
+    """0 on a sign change or a zero, else the smaller-magnitude argument:
+    the median of (a, b, 0), with a zero returned as +0.0 where numpy's
+    minimum and maximum break signed-zero ties by their second argument."""
+    return np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), 0.0))
 
 
 def apply_boundary(u_int, kind, velocity_slots):
@@ -142,7 +141,7 @@ def _euler_model(case):
 
     def max_speed(w):
         c = _eos.sound_speed(eos, w[..., 0], w[..., 2])
-        return float(np.max(np.abs(w[..., 1]) + c))
+        return float(np.maximum.reduce(np.abs(w[..., 1]) + c, axis=None))
 
     return _Model(
         velocity_slots=(1,),
@@ -175,8 +174,8 @@ def _tp_model(case):
 
     def max_speed(w):
         c2 = _eos.sound_speed(eos2, w[..., 4], w[..., 6])
-        return float(np.max(np.maximum(np.abs(w[..., 2]),
-                                       np.abs(w[..., 5]) + c2)))
+        return float(np.maximum.reduce(
+            np.maximum(np.abs(w[..., 2]), np.abs(w[..., 5]) + c2), axis=None))
 
     def totals(s):
         # phase masses, mixture momentum and mixture energy: the H-terms
@@ -241,12 +240,13 @@ def _predict(model, wg, half_lam):
 def _defect(totals, u0, u1, f, lam):
     """Relative conservation defect of the update u0 -> u1 with interface
     fluxes f and lam = dt/dx, from one column sum per array."""
-    budget = totals(u1.sum(axis=0) - u0.sum(axis=0) + lam * (f[-1] - f[0]))
-    denom = totals(np.sum(np.abs(u1), axis=0))
+    budget = totals(np.add.reduce(u1, axis=0) - np.add.reduce(u0, axis=0)
+                    + lam * (f[-1] - f[0]))
+    denom = totals(np.add.reduce(np.abs(u1), axis=0))
     # momentum can sum to ~0 at rest; floor it with the
     # dimensionally matching scale sqrt(mass * energy)
     denom[-2] = max(denom[-2], np.sqrt(sum(denom[:-2]) * denom[-1]))
-    return float(np.max(np.abs(budget) / denom))
+    return float(np.maximum.reduce(np.abs(budget) / denom))
 
 
 def _faces(model, wg, half_lam, first_order):

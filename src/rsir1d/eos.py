@@ -78,7 +78,7 @@ def _covolume_factor(eos, rho):
     rho = np.asarray(rho, dtype=float)
     fac = 1.0 - rho * eos.b
     bad = fac <= 0.0
-    if bad.any():
+    if np.count_nonzero(bad):
         raise EosDomainError(
             f"covolume saturation: 1 - rho*b <= 0 at rho = "
             f"{float(np.max(rho[bad]))!r}"
@@ -111,21 +111,21 @@ def internal_energy(eos, rho, p):
 
 
 def _sound_speed_sq(eos, rho, p):
-    """Squared sound speed, unchecked; NASG has the factor 1/(1 - rho b)."""
+    """Checked squared sound speed; NASG has the factor 1/(1 - rho b)."""
     rho = np.asarray(rho, float)
     den = rho * _covolume_factor(eos, rho) if eos.b else rho
-    return eos.gamma * (np.asarray(p, float) + eos.p_inf) / den
-
-
-def sound_speed(eos, rho, p):
-    """Speed of sound [m/s]."""
-    c2 = _sound_speed_sq(eos, rho, p)
-    if (c2 <= 0.0).any():
+    c2 = eos.gamma * (np.asarray(p, float) + eos.p_inf) / den
+    if np.count_nonzero(c2 <= 0.0):
         raise EosDomainError(
             f"non-positive squared sound speed (min c^2 = "
             f"{float(np.min(c2))!r}); state outside convexity region"
         )
-    return np.sqrt(c2)
+    return c2
+
+
+def sound_speed(eos, rho, p):
+    """Speed of sound [m/s]."""
+    return np.sqrt(_sound_speed_sq(eos, rho, p))
 
 
 def entropy(eos, rho, p):
@@ -139,7 +139,7 @@ def entropy(eos, rho, p):
     _covolume_factor(eos, rho)
     v = 1.0 / rho - eos.b
     pi = np.asarray(p, float) + eos.p_inf
-    if np.any(pi <= 0.0):
+    if np.count_nonzero(pi <= 0.0):
         raise EosDomainError(
             f"p + p_inf must be positive (min {float(np.min(pi))!r})")
     return eos.cv * (np.log(pi) + eos.gamma * np.log(v))

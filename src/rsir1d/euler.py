@@ -79,7 +79,7 @@ def _cons_terms(w, eos):
     """(rho, u, p, rho u, rho E) of primitive states."""
     w = np.asarray(w, dtype=float)
     rho, u, p = w[..., 0], w[..., 1], w[..., 2]
-    if (rho <= 0.0).any():
+    if np.count_nonzero(rho <= 0.0):
         raise EosDomainError(f"non-positive density (min {float(np.min(rho))!r})")
     e = _eos.internal_energy(eos, rho, p)
     return rho, u, p, rho * u, rho * (e + 0.5 * u * u)
@@ -95,12 +95,12 @@ def prim_from_cons(uc, eos):
     """Inverse of :func:`cons_from_prim`."""
     uc = np.asarray(uc, dtype=float)
     rho = uc[..., 0]
-    if (rho <= 0.0).any():
+    if np.count_nonzero(rho <= 0.0):
         raise EosDomainError(f"non-positive density (min {float(np.min(rho))!r})")
     u = uc[..., 1] / rho
     e = uc[..., 2] / rho - 0.5 * u * u
     p = _eos.pressure(eos, rho, e)
-    if (p + eos.p_inf <= 0.0).any():
+    if np.count_nonzero(p <= -eos.p_inf):  # p + p_inf <= 0, without the sum
         raise EosDomainError(
             f"recovered pressure below -p_inf (min p = {float(np.min(p))!r})"
         )
@@ -134,23 +134,18 @@ def davis_wave_speeds(wl, wr, eos):
     return s_l, s_r
 
 
-def _check_fan(s_l, s_r):
-    if (np.subtract(s_r, s_l) <= 0.0).any():
-        raise DegenerateFanError("degenerate fan: S_L >= S_R")
-
-
 def hll_state(ul, ur, fl, fr, s_l, s_r):
     """Single intermediate state from integral consistency:
 
         U*_HLL = (F_R - F_L + S_L U_L - S_R U_R) / (S_L - S_R)
     """
-    _check_fan(s_l, s_r)
-    s_l = np.asarray(s_l, float)[..., None]
-    s_r = np.asarray(s_r, float)[..., None]
+    den = np.subtract(s_l, s_r, dtype=float)
+    if np.count_nonzero(den >= 0.0):  # S_R - S_L <= 0, negated exactly
+        raise DegenerateFanError("degenerate fan: S_L >= S_R")
     u_hll = np.subtract(fr, fl, dtype=float)
-    u_hll += s_l * np.asarray(ul, float)
-    u_hll -= s_r * np.asarray(ur, float)
-    u_hll /= s_l - s_r
+    u_hll += np.asarray(s_l, float)[..., None] * np.asarray(ul, float)
+    u_hll -= np.asarray(s_r, float)[..., None] * np.asarray(ur, float)
+    u_hll /= den[..., None]
     return u_hll
 
 
@@ -164,7 +159,7 @@ def contact_speed(wl, wr, s_l, s_r):
     ml = rho_l * (s_l - u_l)
     mr = rho_r * (s_r - u_r)
     den = ml - mr
-    if (den == 0.0).any():
+    if np.count_nonzero(den == 0.0):
         raise DegenerateFanError("vanishing denominator in contact speed")
     return (p_r - p_l + u_l * ml - u_r * mr) / den
 
@@ -172,10 +167,8 @@ def contact_speed(wl, wr, s_l, s_r):
 def rusanov_flux(wl, wr, eos):
     """Rusanov flux with S = max(|u| + c) over both states, which is
     max(-S_L, S_R) of the Davis bounds."""
-    s_l, s_r = davis_wave_speeds(wl, wr, eos)
+    _, (ul, ur), (fl, fr), _, s_l, s_r = _sides(wl, wr, eos)
     s = np.maximum(-s_l, s_r)[..., None]
-    ul, fl = cons_and_flux(wl, eos)
-    ur, fr = cons_and_flux(wr, eos)
     return 0.5 * (fr + fl - s * (ur - ul))
 
 
@@ -190,23 +183,36 @@ def _star_flux(u_star_l, u_star_r, ul, ur, fl, fr, s_l, s_m, s_r):
     return out
 
 
+def _sides(wl, wr, eos):
+    """Both sides as one batch, left at index 0: (primitives, conserved,
+    fluxes) of shape (2, ..., 3), c^2 of shape (2, ...), S_L and S_R."""
+    w = _component_major(np.empty((3, 2) + np.broadcast(wl, wr).shape[:-1]))
+    w[0], w[1] = wl, wr
+    try:
+        c2 = _eos._sound_speed_sq(eos, w[..., 0], w[..., 2])
+        uc, f = cons_and_flux(w, eos)
+    except EosDomainError:  # quote the first offending side, not both
+        davis_wave_speeds(wl, wr, eos)
+        cons_and_flux(wl, eos)
+        cons_and_flux(wr, eos)
+        raise
+    c = np.sqrt(c2)
+    lo, hi = w[..., 1] - c, w[..., 1] + c
+    return w, uc, f, c2, np.minimum(*lo), np.maximum(*hi)
+
+
 def _fan_common(wl, wr, eos):
-    wl = np.asarray(wl, float)
-    wr = np.asarray(wr, float)
-    s_l, s_r = davis_wave_speeds(wl, wr, eos)
-    ul, fl = cons_and_flux(wl, eos)
-    ur, fr = cons_and_flux(wr, eos)
-    u_hll = hll_state(ul, ur, fl, fr, s_l, s_r)
-    s_m = contact_speed(wl, wr, s_l, s_r)
-    return wl, wr, ul, ur, fl, fr, u_hll, s_l, s_m, s_r
+    w, uc, f, c2, s_l, s_r = _sides(wl, wr, eos)
+    u_hll = hll_state(uc[0], uc[1], f[0], f[1], s_l, s_r)
+    return w, uc, f, c2, u_hll, s_l, contact_speed(w[0], w[1], s_l, s_r), s_r
 
 
-def _build_fan(ul, ur, fl, fr, u_star_l, u_star_r, s_l, s_m, s_r,
-               n_fallback=0):
+def _build_fan(uc, f, u_star_l, u_star_r, s_l, s_m, s_r, n_fallback=0):
     """F_L where S_L >= 0, F_R where S_R <= 0, else the star flux."""
-    flux = _star_flux(u_star_l, u_star_r, ul, ur, fl, fr, s_l, s_m, s_r)
-    np.copyto(flux, fl, where=(s_l >= 0.0)[..., None])
-    np.copyto(flux, fr, where=(s_r <= 0.0)[..., None])
+    flux = _star_flux(u_star_l, u_star_r, *uc, *f, s_l, s_m, s_r)
+    for sup, side in ((s_l >= 0.0, f[0]), (s_r <= 0.0, f[1])):
+        if np.count_nonzero(sup):
+            np.copyto(flux, side, where=sup[..., None])
     return EulerFan(s_l=s_l, s_m=s_m, s_r=s_r, u_star_l=u_star_l,
                     u_star_r=u_star_r, flux=flux, n_fallback=n_fallback)
 
@@ -215,8 +221,8 @@ def hll_flux(wl, wr, eos):
     """HLL solver written as the beta = 0 member of the reconstruction
     family: both star states equal U*_HLL, fluxes through the per-wave
     Rankine-Hugoniot relations, same sampling as the two-state solvers."""
-    wl, wr, ul, ur, fl, fr, u_hll, s_l, s_m, s_r = _fan_common(wl, wr, eos)
-    return _build_fan(ul, ur, fl, fr, u_hll, u_hll, s_l, s_m, s_r)
+    _, uc, f, _, u_hll, s_l, s_m, s_r = _fan_common(wl, wr, eos)
+    return _build_fan(uc, f, u_hll, u_hll, s_l, s_m, s_r)
 
 
 def _check_beta(beta):
@@ -227,12 +233,12 @@ def _check_beta(beta):
 def linde_flux(wl, wr, eos, beta):
     """Original Linde reconstruction: U_R* - U_L* = beta (U_R - U_L)."""
     _check_beta(beta)
-    wl, wr, ul, ur, fl, fr, u_hll, s_l, s_m, s_r = _fan_common(wl, wr, eos)
+    _, uc, f, _, u_hll, s_l, s_m, s_r = _fan_common(wl, wr, eos)
     om_l, om_r = _weights(s_l, s_m, s_r)
-    jump = beta * (ur - ul)
+    jump = beta * (uc[1] - uc[0])
     u_star_l = u_hll - om_r[..., None] * jump
     u_star_r = u_hll + om_l[..., None] * jump
-    return _build_fan(ul, ur, fl, fr, u_star_l, u_star_r, s_l, s_m, s_r)
+    return _build_fan(uc, f, u_star_l, u_star_r, s_l, s_m, s_r)
 
 
 def _weights(s_l, s_m, s_r):
@@ -256,12 +262,10 @@ def rsir_flux(wl, wr, eos, beta):
     the HLL (beta = 0) star state and are counted in ``n_fallback``.
     """
     _check_beta(beta)
-    wl, wr, ul, ur, fl, fr, u_hll, s_l, s_m, s_r = _fan_common(wl, wr, eos)
+    w, uc, f, (cl2, cr2), u_hll, s_l, s_m, s_r = _fan_common(wl, wr, eos)
     om_l, om_r = _weights(s_l, s_m, s_r)
-    rho_l, p_l = wl[..., 0], wl[..., 2]
-    rho_r, p_r = wr[..., 0], wr[..., 2]
-    cl2 = _eos._sound_speed_sq(eos, rho_l, p_l)
-    cr2 = _eos._sound_speed_sq(eos, rho_r, p_r)
+    rho_l, rho_r = w[..., 0]
+    p_l, p_r = w[..., 2]
     psi = beta * (rho_r - rho_l + (p_l - p_r) / (0.5 * (cl2 + cr2)))
     lam_e = 0.5 * s_m * s_m
     bad = False
@@ -281,20 +285,15 @@ def rsir_flux(wl, wr, eos, beta):
     if n_fallback:
         u_star_l[bad] = u_hll[bad]
         u_star_r[bad] = u_hll[bad]
-    return _build_fan(ul, ur, fl, fr, u_star_l, u_star_r, s_l, s_m, s_r,
-                      n_fallback)
+    return _build_fan(uc, f, u_star_l, u_star_r, s_l, s_m, s_r, n_fallback)
 
 
 def hllc_flux(wl, wr, eos):
     """Standard HLLC star states (comparison baseline)."""
-    wl, wr, ul, ur, fl, fr, _, s_l, s_m, s_r = _fan_common(wl, wr, eos)
-
-    def star(w, uc, s):
-        rho, u, p = w[..., 0], w[..., 1], w[..., 2]
-        fac = rho * (s - u) / (s - s_m)
-        energy = uc[..., 2] / rho + (s_m - u) * (s_m + p / (rho * (s - u)))
-        return _stack_last((fac, fac * s_m, fac * energy))
-
-    u_star_l = star(wl, ul, s_l)
-    u_star_r = star(wr, ur, s_r)
-    return _build_fan(ul, ur, fl, fr, u_star_l, u_star_r, s_l, s_m, s_r)
+    w, uc, f, _, _, s_l, s_m, s_r = _fan_common(wl, wr, eos)
+    s = np.array((s_l, s_r))
+    rho, u, p = w[..., 0], w[..., 1], w[..., 2]
+    fac = rho * (s - u) / (s - s_m)
+    energy = uc[..., 2] / rho + (s_m - u) * (s_m + p / (rho * (s - u)))
+    u_star = _stack_last((fac, fac * s_m, fac * energy))
+    return _build_fan(uc, f, u_star[0], u_star[1], s_l, s_m, s_r)

@@ -86,7 +86,7 @@ def _phase_terms(w, eos1, eos2):
     u2, p1, p2, (ar)1, (ar)2, (aru)1, (aru)2, (arE)1, (arE)2)."""
     w = np.asarray(w, dtype=float)
     a1 = w[..., 0]
-    if ((a1 <= 0.0) | (a1 >= 1.0)).any():
+    if np.count_nonzero((a1 <= 0.0) | (a1 >= 1.0)):
         raise PositivityError(
             f"alpha1 must lie strictly inside (0,1), got extrema "
             f"[{float(np.min(a1))!r}, {float(np.max(a1))!r}]"
@@ -121,7 +121,7 @@ def tp_prim_from_cons(uc, eos1, eos2):
     a2 = 1.0 - a1
     m1, q1, en1 = uc[..., 1], uc[..., 2], uc[..., 3]
     m2, q2, en2 = uc[..., 4], uc[..., 5], uc[..., 6]
-    if (m1 <= 0.0).any() or (m2 <= 0.0).any():
+    if np.count_nonzero(m1 <= 0.0) or np.count_nonzero(m2 <= 0.0):
         raise PositivityError(
             f"non-positive apparent density (min phase1 "
             f"{float(np.min(m1))!r}, phase2 {float(np.min(m2))!r})"
@@ -134,7 +134,8 @@ def tp_prim_from_cons(uc, eos1, eos2):
     e2 = en2 / m2 - 0.5 * u2 * u2
     p1 = _eos.pressure(eos1, rho1, e1)
     p2 = _eos.pressure(eos2, rho2, e2)
-    if (p1 + eos1.p_inf <= 0.0).any() or (p2 + eos2.p_inf <= 0.0).any():
+    if (np.count_nonzero(p1 <= -eos1.p_inf)
+            or np.count_nonzero(p2 <= -eos2.p_inf)):
         raise PositivityError(
             f"recovered phase pressure below -p_inf (min p1 "
             f"{float(np.min(p1))!r}, min p2 {float(np.min(p2))!r})"
@@ -273,7 +274,7 @@ def tp_hll_state(vl, vr, phil, phir, s_l, s_r):
     """
     u_hll = _euler.hll_state(vl, vr, phil, phir, s_l, s_r)
     for slot, name in ((1, "phase 1"), (5, "phase 2")):
-        if (u_hll[..., slot] <= 0.0).any():
+        if np.count_nonzero(u_hll[..., slot] <= 0.0):
             raise PositivityError(
                 f"non-positive HLL apparent density for {name}")
     s_m1 = u_hll[..., 2] / u_hll[..., 1]
@@ -338,7 +339,7 @@ def rsir_reconstruct(u_hll, wl, wr, s_l, s_m1, s_m2, s_r, rho2_bar, p_i,
         bad |= (star[..., 0] < ALPHA_FLOOR) | (star[..., 0] > 1.0 - ALPHA_FLOOR)
         bad |= (star[..., 4] < ALPHA_FLOOR) | (star[..., 4] > 1.0 - ALPHA_FLOOR)
         bad |= (star[..., 1] <= 0.0) | (star[..., 5] <= 0.0)
-    if bad.any():
+    if np.count_nonzero(bad):
         bad &= ((u_star_l != u_hll) | (u_star_r != u_hll)).any(axis=-1)
     return u_star_l, u_star_r, bad
 
@@ -360,7 +361,7 @@ def _tp_flux_from_fan(wl, wr, vl, vr, phil, phir, u_star_l, u_star_r,
     # (no second EOS pass) and only when some face needs it
     for sup, w, v, a1, au1 in ((s_l >= 0.0, wl, vl, a1l, au1l),
                                (s_r <= 0.0, wr, vr, a1r, au1r)):
-        if sup.any():
+        if np.count_nonzero(sup):
             a1_face = np.where(sup, a1, a1_face)
             phi_a1 = np.where(sup, au1, phi_a1)
             np.copyto(flux, _phys_flux_of(w, v[..., 2], v[..., 3], v[..., 6],

@@ -1,0 +1,158 @@
+"""Each admissibility check raises its own error class and message on a
+crafted inadmissible input, and treats NaN as it always has: a NaN entry
+never trips a check by itself, and does not hide an offending entry."""
+
+import numpy as np
+import pytest
+
+from rsir1d import eos as _eos
+from rsir1d import euler, twophase
+from rsir1d.eos import EosDomainError
+from rsir1d.euler import DegenerateFanError, PositivityError
+
+AIR = _eos.preset("air-ideal")
+WATER = _eos.preset("water-sg")
+NASG = _eos.preset("water-nasg")
+NAN = float("nan")
+
+
+def _tp_state(a1=0.5, p1=1e5, p2=1e5):
+    return np.array([a1, 1000.0, 0.0, p1, 1.2, 0.0, p2])
+
+
+def _hll_inputs(slot):
+    """Local states and fluxes whose HLL state at S_L = -1, S_R = 1 is
+    (vl + vr + phil - phir) / 2: -0.5 in ``slot``, 1 elsewhere."""
+    vl = np.ones(8)
+    vl[slot] = -2.0
+    return vl, np.ones(8), np.zeros(8), np.zeros(8), -1.0, 1.0
+
+
+CASES = {
+    "density of a primitive state": (
+        lambda: euler.cons_from_prim([[1.0, 0.0, 1e5], [-0.5, 0.0, 1e5]],
+                                     AIR),
+        EosDomainError, "non-positive density (min -0.5)"),
+    "density of a conserved state": (
+        lambda: euler.prim_from_cons([[1.0, 0.0, 2.5e5], [0.0, 0.0, 1.0]],
+                                     AIR),
+        EosDomainError, "non-positive density (min 0.0)"),
+    "recovered pressure": (
+        lambda: euler.prim_from_cons([[1000.0, 0.0, 1e8],
+                                      [1000.0, 0.0, -1e12]], WATER),
+        EosDomainError,
+        "recovered pressure below -p_inf (min p = -3402640000000.0005)"),
+    "recovered pressure equal to -p_inf": (
+        lambda: euler.prim_from_cons([[1.0, 0.0, 0.0]], AIR),
+        EosDomainError, "recovered pressure below -p_inf (min p = 0.0)"),
+    "squared sound speed": (
+        lambda: _eos.sound_speed(WATER, [1000.0, 1000.0], [1e5, -7e8]),
+        EosDomainError,
+        "non-positive squared sound speed (min c^2 = -440000.00000000006); "
+        "state outside convexity region"),
+    "covolume": (
+        lambda: _eos.sound_speed(NASG, [1000.0, 2.5e4], [1e5, 1e5]),
+        EosDomainError,
+        "covolume saturation: 1 - rho*b <= 0 at rho = 25000.0"),
+    "entropy": (
+        lambda: _eos.entropy(AIR, [1.0, 1.0], [1e5, -1.0]),
+        EosDomainError, "p + p_inf must be positive (min -1.0)"),
+    "degenerate fan": (
+        lambda: euler.hll_state(np.ones((2, 3)), np.ones((2, 3)),
+                                np.ones((2, 3)), np.ones((2, 3)),
+                                [-1.0, 2.0], [1.0, 2.0]),
+        DegenerateFanError, "degenerate fan: S_L >= S_R"),
+    "contact denominator": (
+        lambda: euler.contact_speed([[1.0, 0.0, 1e5]], [[1.0, 0.0, 1e5]],
+                                    [1.0], [1.0]),
+        DegenerateFanError, "vanishing denominator in contact speed"),
+    "volume fraction": (
+        lambda: twophase.tp_cons_from_prim(
+            np.array([_tp_state(0.3), _tp_state(1.0)]), AIR, WATER),
+        PositivityError,
+        "alpha1 must lie strictly inside (0,1), got extrema [0.3, 1.0]"),
+    "apparent density": (
+        lambda: twophase.tp_prim_from_cons(
+            [[0.5, 1.0, 0.0, 2.5e5, -1.0, 0.0, 1.0]], AIR, AIR),
+        PositivityError,
+        "non-positive apparent density (min phase1 1.0, phase2 -1.0)"),
+    "phase pressure": (
+        lambda: twophase.tp_prim_from_cons(
+            [[0.5, 1.0, 0.0, -1.0, 1.0, 0.0, 2.5e5]], AIR, AIR),
+        PositivityError,
+        "recovered phase pressure below -p_inf (min p1 -0.7999999999999998, "
+        "min p2 199999.99999999994)"),
+    "HLL apparent density, phase 1": (
+        lambda: twophase.tp_hll_state(*_hll_inputs(1)),
+        PositivityError, "non-positive HLL apparent density for phase 1"),
+    "HLL apparent density, phase 2": (
+        lambda: twophase.tp_hll_state(*_hll_inputs(5)),
+        PositivityError, "non-positive HLL apparent density for phase 2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_check_raises_its_class_and_message(name):
+    call, error, message = CASES[name]
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+def test_interface_flux_error_names_the_first_offending_side():
+    """Both sides are evaluated as one batch; a failure still quotes the
+    extremum of the side that a left-then-right evaluation meets first."""
+    good = np.array([[1.0, 0.0, 1e5], [1.0, 0.0, 1e5]])
+    left = np.array([[1.0, 0.0, 1e5], [1.0, 0.0, -2e5]])
+    right = np.array([[1.0, 0.0, -5e5], [1.0, 0.0, 1e5]])
+    for flux in (euler.hll_flux, euler.rusanov_flux):
+        with pytest.raises(EosDomainError, match=r"min c\^2 = -280000\.0"):
+            flux(left, right, AIR)
+        with pytest.raises(EosDomainError, match=r"min c\^2 = -700000\.0"):
+            flux(good, right, AIR)
+    # rho = 0 gives c^2 = inf, so the density check of the left side fires
+    zero = np.array([[0.0, 0.0, 1e5], [1.0, 0.0, 1e5]])
+    with np.errstate(divide="ignore"), pytest.raises(
+            EosDomainError, match=r"non-positive density \(min 0\.0\)"):
+        euler.rsir_flux(zero, -good, AIR, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: euler.cons_from_prim([[x, 0.0, 1e5]], AIR),
+    lambda x: euler.prim_from_cons([[x, 0.0, 2.5e5]], AIR),
+    lambda x: euler.prim_from_cons([[1.0, 0.0, x]], AIR),
+    lambda x: _eos.sound_speed(AIR, [1.0], [x]),
+    lambda x: _eos.sound_speed(NASG, [x], [1e5]),
+    lambda x: _eos.entropy(AIR, [1.0], [x]),
+    lambda x: euler.contact_speed([[1.0, 0.0, 1e5]], [[1.0, 0.0, 1e5]],
+                                  [x], [1.0]),
+    lambda x: euler.hll_state(np.ones(3), np.ones(3), np.ones(3), np.ones(3),
+                              x, 1.0),
+    lambda x: twophase.tp_cons_from_prim(_tp_state(a1=x), AIR, WATER),
+    lambda x: twophase.tp_prim_from_cons([0.5, x, 0.0, 2.5e5, 1.0, 0.0, 1.0],
+                                         AIR, AIR),
+    lambda x: twophase.tp_prim_from_cons([0.5, 1.0, 0.0, x, 1.0, 0.0, 2.5e5],
+                                         AIR, AIR),
+])
+def test_nan_passes_every_check(call):
+    """No check compares true against NaN, so a NaN entry is let through
+    (and propagates), as it always was."""
+    call(NAN)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("density", lambda: euler.prim_from_cons(
+        [[NAN, 0.0, 2.5e5], [-1.0, 0.0, 2.5e5]], AIR)),
+    ("pressure", lambda: euler.prim_from_cons(
+        [[1.0, 0.0, NAN], [1.0, 0.0, 0.0]], AIR)),
+    ("sound speed", lambda: _eos.sound_speed(AIR, [1.0, 1.0], [NAN, -1.0])),
+    ("volume fraction", lambda: twophase.tp_cons_from_prim(
+        np.array([_tp_state(NAN), _tp_state(0.0)]), AIR, WATER)),
+    ("degenerate fan", lambda: euler.hll_state(
+        np.ones((2, 3)), np.ones((2, 3)), np.ones((2, 3)), np.ones((2, 3)),
+        [NAN, 1.0], [1.0, 1.0])),
+])
+def test_nan_does_not_hide_an_offending_entry(name, call):
+    with pytest.raises((EosDomainError, PositivityError, DegenerateFanError)):
+        call()

@@ -181,3 +181,41 @@ def test_nasg_phase_rejected_for_sg_only_closures():
                                           "relax.pressure=off",
                                           f"solver={solver}"])
         assert ok.eos1.b > 0.0
+
+
+@pytest.mark.parametrize("override", ["mesh.n_cells=3", "mesh.n_cells=0",
+                                      "mesh.n_cells=-10"])
+def test_too_few_cells_is_a_config_error(override):
+    """A mesh needs two ghost layers' worth of cells; fewer is rejected up
+    front instead of failing in Mesh1D with a bare ValueError."""
+    case = cases.builtin_case("euler-shock-tube")
+    with pytest.raises(cases.ConfigError, match="mesh.n_cells"):
+        cases.apply_overrides(case, [override])
+    assert cases.apply_overrides(case, ["mesh.n_cells=4"]).n_cells == 4
+
+
+@pytest.mark.parametrize("overrides, key", [
+    (["drag.model=clift-gauvin", "drag.radius=-1"], "drag.radius"),
+    (["drag.model=clift-gauvin", "drag.radius=0"], "drag.radius"),
+    (["drag.model=clift-gauvin", "drag.mu2=0"], "drag.mu2"),
+    (["drag.model=clift-gauvin", "drag.mu2=nan"], "drag.mu2"),
+    (["drag.model=constant", "drag.lambda=-5"], "drag.lambda"),
+    (["drag.lambda=-1e-3"], "drag.lambda"),
+])
+def test_drag_parameters_are_validated(overrides, key):
+    """Clift-Gauvin needs a positive radius and viscosity, and no drag
+    model takes a negative lambda (it would run silently without drag)."""
+    case = cases.builtin_case("tp-shock-tube")
+    with pytest.raises(cases.ConfigError, match=key):
+        cases.apply_overrides(case, overrides)
+
+
+def test_valid_drag_parameters_are_accepted():
+    case = cases.builtin_case("tp-shock-tube")
+    out = cases.apply_overrides(case, ["drag.model=clift-gauvin",
+                                       "drag.radius=2e-4", "drag.mu2=1e-3"])
+    assert (out.drag_radius, out.drag_mu2) == (2e-4, 1e-3)
+    # radius and viscosity only matter to the clift-gauvin model
+    assert cases.apply_overrides(
+        case, ["drag.model=constant", "drag.lambda=0", "drag.radius=0"]
+    ).drag_lambda == 0.0

@@ -138,3 +138,20 @@ def test_unknown_name_error_is_not_quoted(tmp_path, capsys, args):
     assert err.startswith("error: ") and "unknown" in err
     assert err.count("\n") == 1 and err.count("error:") == 1
     assert '"' not in err
+
+
+@pytest.mark.parametrize("case, overrides", [
+    ("euler-shock-tube", ["mesh.n_cells=2"]),
+    ("tp-shock-tube", ["drag.model=clift-gauvin", "drag.radius=-1"]),
+    ("tp-shock-tube", ["drag.model=constant", "drag.lambda=-5"]),
+])
+def test_invalid_mesh_or_drag_is_a_config_error(tmp_path, capsys, case,
+                                                overrides):
+    args = ["run", case, "--out", str(tmp_path)]
+    for o in overrides:
+        args += ["--set", o]
+    code, _, err = run_cli(args, capsys)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1 and err.count("error:") == 1
+    assert not os.listdir(tmp_path)
