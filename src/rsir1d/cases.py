@@ -3,6 +3,7 @@
 plot-script / comparison output helpers.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -59,6 +60,11 @@ class CaseConfig:
     description: str = ""
 
     def validate(self):
+        for key, (name, parse) in _KEYS.items():
+            value = getattr(self, name)
+            if parse in (float, _parse_floats) and not all(map(
+                    math.isfinite, (value,) if parse is float else value)):
+                raise ConfigError(f"{key} must be finite, got {value!r}")
         if self.model not in ("euler", "two-phase"):
             raise ConfigError(f"unknown model {self.model!r}")
         solvers = EULER_SOLVERS if self.model == "euler" else TWOPHASE_SOLVERS
@@ -134,14 +140,26 @@ def _parse_floats(s):
     return tuple(float(tok) for tok in s.replace(",", " ").split())
 
 
-def _eos_key(cfg_dict, which, key, value):
-    d = cfg_dict.setdefault(which, {})
-    if key == "preset":
-        d["preset"] = value
-    elif key in ("gamma", "p_inf", "b", "cv"):
-        d[key] = float(value)
-    else:
-        raise ValueError(f"unknown EOS field {key!r}")
+# config key -> (CaseConfig field, parser of its value); validate() also
+# reads the parsers to find the numeric keys, whose values must be finite
+_KEYS = {
+    "name": ("name", str), "model": ("model", str),
+    "solver": ("solver", str), "beta": ("beta", float),
+    "cfl": ("cfl", float), "limiter": ("limiter", str),
+    "boundary": ("boundary", str),
+    "mesh.x_min": ("x_min", float), "mesh.x_max": ("x_max", float),
+    "mesh.n_cells": ("n_cells", int), "mesh.x_disc": ("x_disc", float),
+    "time.end": ("end_time", float),
+    "time.outputs": ("output_times", _parse_floats),
+    "state.left": ("left", _parse_floats),
+    "state.right": ("right", _parse_floats),
+    "relax.pressure": ("pressure_relax", _parse_bool),
+    "drag.model": ("drag_model", str), "drag.lambda": ("drag_lambda", float),
+    "drag.radius": ("drag_radius", float), "drag.mu2": ("drag_mu2", float),
+}
+# "eos1.<field>" and "eos2.<field>": field -> parser
+_EOS_KEYS = {"preset": str, "gamma": float, "p_inf": float, "b": float,
+             "cv": float}
 
 
 def _build_eos(d):
@@ -164,12 +182,11 @@ def apply_overrides(case, pairs):
     return _apply_lines(case, lines, source="override")
 
 
-def parse_config(text, base=None):
+def parse_config(text):
     """Build a CaseConfig from config text; unknown keys raise ConfigError
     with the offending line."""
-    case = base if base is not None else CaseConfig(name="custom")
-    lines = text.splitlines()
-    return _apply_lines(case, lines, source="config")
+    return _apply_lines(CaseConfig(name="custom"), text.splitlines(),
+                        source="config")
 
 
 def _apply_lines(case, lines, source):
@@ -184,8 +201,17 @@ def _apply_lines(case, lines, source):
                 f"{source} line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (tok.strip() for tok in line.split("=", 1))
         try:
-            _apply_one(key, value, updates, eos_fields)
-        except (ValueError, KeyError) as err:
+            if key.startswith(("eos1.", "eos2.")):
+                which, sub = key.split(".", 1)
+                if sub not in _EOS_KEYS:
+                    raise ValueError(f"unknown EOS field {sub!r}")
+                eos_fields.setdefault(which, {})[sub] = _EOS_KEYS[sub](value)
+            elif key in _KEYS:
+                name, parse = _KEYS[key]
+                updates[name] = parse(value)
+            else:
+                raise ValueError(f"unknown key {key!r}")
+        except ValueError as err:
             raise ConfigError(
                 f"{source} line {lineno} ({raw.strip()!r}): {err}") from err
     for which, fields in eos_fields.items():
@@ -196,40 +222,6 @@ def _apply_lines(case, lines, source):
             msg = err.args[0] if isinstance(err, KeyError) else err
             raise ConfigError(f"{source} {which} ({given}): {msg}") from err
     return replace(case, **updates).validate()
-
-
-def _apply_one(key, value, updates, eos_fields):
-    if key in ("model", "solver", "limiter", "boundary", "name"):
-        updates[key] = value
-    elif key == "beta":
-        updates["beta"] = float(value)
-    elif key == "cfl":
-        updates["cfl"] = float(value)
-    elif key in ("mesh.x_min", "mesh.x_max", "mesh.x_disc"):
-        updates[key.split(".")[1]] = float(value)
-    elif key == "mesh.n_cells":
-        updates["n_cells"] = int(value)
-    elif key == "time.end":
-        updates["end_time"] = float(value)
-    elif key == "time.outputs":
-        updates["output_times"] = _parse_floats(value)
-    elif key in ("state.left", "state.right"):
-        updates[key.split(".")[1]] = _parse_floats(value)
-    elif key.startswith("eos1.") or key.startswith("eos2."):
-        which, sub = key.split(".", 1)
-        _eos_key(eos_fields, which, sub, value)
-    elif key == "relax.pressure":
-        updates["pressure_relax"] = _parse_bool(value)
-    elif key == "drag.model":
-        updates["drag_model"] = value
-    elif key == "drag.lambda":
-        updates["drag_lambda"] = float(value)
-    elif key == "drag.radius":
-        updates["drag_radius"] = float(value)
-    elif key == "drag.mu2":
-        updates["drag_mu2"] = float(value)
-    else:
-        raise ValueError(f"unknown key {key!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -411,14 +403,14 @@ def _reference_field(case, n_ref=2000):
         sol = _exact.solve_exact(case.left, case.right, case.eos1)
         return _exact.sample(
             sol, (mesh.centers - case.x_disc) / case.end_time), "exact"
+    if n_ref < case.n_cells or n_ref % case.n_cells:
+        raise ConfigError(f"n_ref must be a positive multiple of mesh.n_cells"
+                          f" = {case.n_cells}, got {n_ref!r}")
     ref_solver = "hllc" if case.model == "euler" else case.solver
     ref_case = replace(case, n_cells=n_ref, solver=ref_solver)
     res = _driver.run(ref_case)
     w_fine = res.snapshots[-1][1]
-    factor = n_ref // case.n_cells
-    if factor * case.n_cells != n_ref:
-        raise ValueError("reference resolution must be a multiple of n_cells")
-    w = w_fine.reshape(case.n_cells, factor, w_fine.shape[1]).mean(axis=1)
+    w = w_fine.reshape(case.n_cells, -1, w_fine.shape[1]).mean(axis=1)
     return w, f"fine-mesh {ref_solver} ({n_ref} cells)"
 
 
@@ -429,15 +421,15 @@ def compare_solvers(case, solvers=None, n_ref=2000):
     """
     if solvers is None:
         solvers = EULER_SOLVERS if case.model == "euler" else TWOPHASE_SOLVERS
+    runs = [replace(case, solver=s).validate() for s in solvers]
     ref, label = _reference_field(case, n_ref)
     mesh = _driver.Mesh1D(case.x_min, case.x_max, case.n_cells)
-    cols = (EULER_COLUMNS[1:4] if case.model == "euler"
-            else ("alpha1", "rho1", "u1", "p1", "rho2", "u2", "p2"))
+    cols = EULER_COLUMNS[1:4] if case.model == "euler" else TP_COLUMNS[1:8]
     table = {}
-    for solver in solvers:
-        res = _driver.run(replace(case, solver=solver))
+    for run in runs:
+        res = _driver.run(run)
         w = res.snapshots[-1][1]
         errs = np.sum(np.abs(w[:, :len(cols)] - ref[:, :len(cols)]),
                       axis=0) * mesh.dx
-        table[solver] = dict(zip(cols, (float(e) for e in errs)))
+        table[run.solver] = dict(zip(cols, (float(e) for e in errs)))
     return label, table

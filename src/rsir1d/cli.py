@@ -111,11 +111,14 @@ def build_parser():
         description="1D compressible finite-volume solver suite")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    one_case = argparse.ArgumentParser(add_help=False)
+    one_case.add_argument("case",
+                          help="built-in case name or config file path")
+    one_case.add_argument("--set", action="append", default=[],
+                          metavar="KEY=VALUE", help="override a config key")
 
-    p_run = sub.add_parser("run", help="integrate one case")
-    p_run.add_argument("case", help="built-in case name or config file path")
-    p_run.add_argument("--set", action="append", default=[],
-                       metavar="KEY=VALUE", help="override a config key")
+    p_run = sub.add_parser("run", parents=[one_case],
+                           help="integrate one case")
     p_run.add_argument("--out", default=".", help="output directory")
     p_run.add_argument("--plot", action="store_true",
                        help="also write a gnuplot script")
@@ -124,23 +127,19 @@ def build_parser():
     p_list = sub.add_parser("list", help="list built-in cases")
     p_list.set_defaults(func=_cmd_list)
 
-    p_cmp = sub.add_parser("compare", help="compare fluxes on one case")
-    p_cmp.add_argument("case")
+    p_cmp = sub.add_parser("compare", parents=[one_case],
+                           help="compare fluxes on one case")
     p_cmp.add_argument("--solvers", default=None,
                        help="comma-separated solver names")
-    p_cmp.add_argument("--set", action="append", default=[],
-                       metavar="KEY=VALUE")
     p_cmp.add_argument("--n-ref", type=int, default=2000,
                        help="reference resolution when no exact solution")
     p_cmp.set_defaults(func=_cmd_compare)
 
-    p_sw = sub.add_parser("sweep", help="vary one config key")
-    p_sw.add_argument("case")
+    p_sw = sub.add_parser("sweep", parents=[one_case],
+                          help="vary one config key")
     p_sw.add_argument("--param", required=True, help="config key to vary")
     p_sw.add_argument("--values", required=True,
                       help="comma-separated values")
-    p_sw.add_argument("--set", action="append", default=[],
-                      metavar="KEY=VALUE")
     p_sw.set_defaults(func=_cmd_sweep)
     return parser
 

@@ -95,6 +95,11 @@ def apply_boundary(u_int, kind, velocity_slots):
     return ug
 
 
+def _nan_max(acc, x):
+    """max(acc, x) keeping a NaN on either side; max(0.0, nan) is 0.0."""
+    return x if x > acc or x != x else acc
+
+
 def cfl_dt(max_speed, dx, cfl):
     if max_speed <= 0.0:
         raise ValueError("zero global wave speed; cannot pick a time step")
@@ -345,7 +350,7 @@ def run(case):
                         raise StepError(
                             f"step {step} rejected repeatedly at t = {t!r}: "
                             f"{err}") from err
-            max_defect = max(max_defect, defect)
+            max_defect = _nan_max(max_defect, defect)
             n_fallback += fallbacks
             n_clamp += clamps
             if model.sources is not None:
@@ -353,9 +358,9 @@ def run(case):
                 w_new = model.to_prim(u_new)
                 if report is not None:
                     n_bisect += report.iterations > 0
-                    max_residual = max(max_residual, report.residual)
-                    max_energy_defect = max(max_energy_defect,
-                                            report.conservation_defect)
+                    max_residual = _nan_max(max_residual, report.residual)
+                    max_energy_defect = _nan_max(max_energy_defect,
+                                                 report.conservation_defect)
             u, w = u_new, w_new
             t += dt
             step += 1

@@ -49,10 +49,10 @@ class EosParams:
     def __post_init__(self):
         if not self.gamma > 1.0:
             raise ValueError(f"gamma must exceed 1, got {self.gamma}")
-        if self.p_inf < 0.0:
-            raise ValueError(f"p_inf must be >= 0, got {self.p_inf}")
-        if self.b < 0.0:
-            raise ValueError(f"covolume b must be >= 0, got {self.b}")
+        if not 0.0 <= self.p_inf < np.inf:
+            raise ValueError(f"p_inf must be finite, >= 0, got {self.p_inf}")
+        if not 0.0 <= self.b < np.inf:
+            raise ValueError(f"covolume b must be finite, >= 0, got {self.b}")
         if not self.cv > 0.0:
             raise ValueError(f"cv must be > 0, got {self.cv}")
 

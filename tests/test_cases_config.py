@@ -219,3 +219,81 @@ def test_valid_drag_parameters_are_accepted():
     assert cases.apply_overrides(
         case, ["drag.model=constant", "drag.lambda=0", "drag.radius=0"]
     ).drag_lambda == 0.0
+
+
+E, T = "euler-shock-tube", "tp-alpha-rest"
+# config key -> (base case, value, field value it must give, other overrides
+# the base case needs to stay valid)
+KEY_SAMPLES = {
+    "name": (E, "demo", "demo", []),
+    "model": (T, "euler", "euler", ["solver=hllc", "state.left=1,0,1e5",
+                                    "state.right=1,0,1e4"]),
+    "solver": (E, "hllc", "hllc", []),
+    "beta": (E, "0.25", 0.25, []),
+    "cfl": (E, "0.4", 0.4, []),
+    "limiter": (E, "none", "none", []),
+    "boundary": (E, "periodic", "periodic", []),
+    "mesh.x_min": (E, "-1", -1.0, []),
+    "mesh.x_max": (E, "2", 2.0, []),
+    "mesh.n_cells": (E, "64", 64, []),
+    "mesh.x_disc": (E, "0.25", 0.25, []),
+    "time.end": (E, "2e-4", 2e-4, []),
+    "time.outputs": (E, "1e-4, 2e-4", (1e-4, 2e-4), []),
+    "state.left": (E, "2 10 3e5", (2.0, 10.0, 3e5), []),
+    "state.right": (E, "0.5,0,1e4", (0.5, 0.0, 1e4), []),
+    "relax.pressure": (T, "on", True, []),
+    "drag.model": (T, "clift-gauvin", "clift-gauvin", []),
+    "drag.lambda": (T, "5", 5.0, []),
+    "drag.radius": (T, "2e-4", 2e-4, []),
+    "drag.mu2": (T, "1e-3", 1e-3, []),
+}
+# EOS field -> (value, field value it must give)
+EOS_SAMPLES = {
+    "preset": ("water-sg", _eos.preset("water-sg")),
+    "gamma": ("1.3", 1.3),
+    "p_inf": ("2e5", 2e5),
+    "b": ("1e-3", 1e-3),
+    "cv": ("700", 700.0),
+}
+
+
+@pytest.mark.parametrize("key", [*cases._KEYS, *(
+    f"eos{i}.{f}" for i in (1, 2) for f in cases._EOS_KEYS)])
+def test_every_key_round_trips_into_its_field(key):
+    """Each entry of the key tables sets its own CaseConfig field."""
+    if key.startswith("eos"):
+        which, sub = key.split(".")
+        value, want = EOS_SAMPLES[sub]
+        base = E if which == "eos1" else T
+        # a lone field builds a fresh EOS, which needs a preset or gamma
+        extra = [] if sub == "preset" else [f"{which}.preset=air-ideal"]
+        extra += ["solver=hll-tp"] if which == "eos2" else []
+
+        def get(c):
+            eos = getattr(c, which)
+            return eos if sub == "preset" else getattr(eos, sub)
+    else:
+        base, value, want, extra = KEY_SAMPLES[key]
+
+        def get(c):
+            return getattr(c, cases._KEYS[key][0])
+    case = cases.builtin_case(base)
+    assert get(case) != want
+    assert get(cases.apply_overrides(case, extra + [f"{key}={value}"])) == want
+
+
+@pytest.mark.parametrize("overrides, key", [
+    (["time.end=inf"], "time.end"),
+    (["time.end=nan"], "time.end"),
+    (["state.left=nan 0 1e5"], "state.left"),
+    (["state.right=0.125 0 inf"], "state.right"),
+    (["mesh.x_max=inf"], "mesh.x_max"),
+    (["eos1.preset=air-ideal", "eos1.p_inf=nan"], "p_inf"),
+    (["eos1.gamma=1.4", "eos1.b=inf"], "covolume b"),
+])
+def test_non_finite_input_is_a_config_error(overrides, key):
+    """A NaN or infinite number is rejected up front; time.end = inf would
+    otherwise never end and a NaN state would run to NaN output."""
+    case = cases.builtin_case("euler-shock-tube")
+    with pytest.raises(cases.ConfigError, match=key):
+        cases.apply_overrides(case, overrides)

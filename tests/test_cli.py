@@ -155,3 +155,23 @@ def test_invalid_mesh_or_drag_is_a_config_error(tmp_path, capsys, case,
     assert err.startswith("error: ")
     assert err.count("\n") == 1 and err.count("error:") == 1
     assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "euler-shock-tube", "--set", "time.end=nan"],
+    ["run", "euler-shock-tube", "--set", "state.left=nan 0 1e5"],
+    ["run", "euler-shock-tube", "--set", "mesh.x_max=inf"],
+    ["run", "euler-shock-tube", "--set", "eos1.preset=air-ideal",
+     "--set", "eos1.p_inf=nan"],
+    ["compare", "euler-shock-tube", "--solvers", "foo"],
+    ["compare", "euler-shock-tube", "--solvers", "hll-tp"],
+    ["compare", "tp-shock-tube", "--n-ref", "150"],
+])
+def test_bad_invocation_is_one_error_line(tmp_path, capsys, args):
+    if args[0] == "run":
+        args = args + ["--out", str(tmp_path)]
+    code, _, err = run_cli(args, capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.count("\n") == 1 and err.count("error:") == 1
+    assert not os.listdir(tmp_path)

@@ -487,3 +487,10 @@ def test_a_failing_block_rejects_the_whole_step(monkeypatch):
     assert calls[4 * step:4 * step + 2] == [7, 7]
     assert res.manifest["dt_rejections"] == 1
     _assert_same_run(res, ref)
+
+
+def test_manifest_maxima_keep_a_nan():
+    """An unvalidated NaN state gives a NaN audit, not a perfect one."""
+    case = cases.builtin_case("euler-shock-tube")
+    m = driver.run(replace(case, left=(float("nan"), 0.0, 1e5))).manifest
+    assert np.isnan(m["max_conservation_defect"])
