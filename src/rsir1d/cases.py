@@ -89,11 +89,12 @@ class CaseConfig:
         if self.model == "two-phase":
             if self.eos2 is None:
                 raise ConfigError("two-phase model needs eos2")
-            if (self.eos1.b or self.eos2.b) and (self.pressure_relax
-                                                 or self.solver == "rsir-tp"):
+            nasg = [f"eos{i}.b = {e.b!r}"
+                    for i, e in ((1, self.eos1), (2, self.eos2)) if e.b]
+            if nasg and (self.pressure_relax or self.solver == "rsir-tp"):
                 raise ConfigError(
                     "pressure relaxation and solver rsir-tp need SG/ideal "
-                    "phases (covolume b = 0); a phase here is NASG")
+                    f"phases (covolume b = 0), got {', '.join(nasg)} (NASG)")
             for side, st in (("left", self.left), ("right", self.right)):
                 if not 0.0 < st[0] < 1.0:
                     raise ConfigError(
@@ -162,14 +163,13 @@ _EOS_KEYS = {"preset": str, "gamma": float, "p_inf": float, "b": float,
              "cv": float}
 
 
-def _build_eos(d):
-    if "preset" in d:
-        base = _eos.preset(d["preset"])
-        extra = {k: v for k, v in d.items() if k != "preset"}
-        return replace(base, **extra) if extra else base
-    if "gamma" not in d:
+def _build_eos(d, current):
+    """The preset named in ``d``, else the case's EOS, with d's fields."""
+    base = _eos.preset(d["preset"]) if "preset" in d else current
+    if base is None and "gamma" not in d:
         raise ValueError("EOS needs a preset or at least gamma")
-    return _eos.EosParams(**d)
+    fields = {k: v for k, v in d.items() if k != "preset"}
+    return _eos.EosParams(**d) if base is None else replace(base, **fields)
 
 
 def apply_overrides(case, pairs):
@@ -216,7 +216,7 @@ def _apply_lines(case, lines, source):
                 f"{source} line {lineno} ({raw.strip()!r}): {err}") from err
     for which, fields in eos_fields.items():
         try:
-            updates[which] = _build_eos(fields)
+            updates[which] = _build_eos(fields, getattr(case, which))
         except (ValueError, KeyError) as err:
             given = ", ".join(f"{which}.{k} = {v}" for k, v in fields.items())
             msg = err.args[0] if isinstance(err, KeyError) else err

@@ -275,23 +275,32 @@ def _step(model, u, w, dt, dx, bc, first_order):
     positivity fallbacks, alpha clamps); w_new is the end-of-step recovery
     that also checks u_new for admissibility.
     """
-    wg = apply_boundary(w, bc, model.velocity_slots)
-    n_faces = len(w) + 1
+    n = len(w)
     half_lam = 0.5 * dt / dx
     fallbacks = 0
-    # the predictor and interface fluxes run over blocks of faces; face j
-    # lies between ghosted cells j+1 and j+2, so faces [a, b) read wg[a:b+3]
-    for a in range(0, n_faces, _BLOCK_FACES):
-        b = min(a + _BLOCK_FACES, n_faces)
-        block, n = _faces(model, wg[a:b + 3], half_lam, first_order)
-        fallbacks += n
+    # faces [a, b) read cells a-2..b: for one block the ghost-filled mesh,
+    # else a view of w, padded at a mesh end from the end cells' ghost fill
+    fill = apply_boundary(w if n < _BLOCK_FACES else w[[0, 1, -2, -1]], bc,
+                          model.velocity_slots)
+    for a in range(0, n + 1, _BLOCK_FACES):
+        b = min(a + _BLOCK_FACES, n + 1)
+        if n < _BLOCK_FACES:
+            cells = fill
+        elif a < 2 or b >= n:
+            cells = np.concatenate(
+                (fill[a:2], w[max(a - 2, 0):b + 1], fill[6:max(b + 7 - n, 6)]),
+                out=_euler._component_major(np.empty((w.shape[1], b - a + 3))))
+        else:
+            cells = w[a - 2:b + 1]
+        block, n_fb = _faces(model, cells, half_lam, first_order)
+        fallbacks += n_fb
         if a == 0:
-            faces = block if b == n_faces else [
-                _euler._component_major(np.empty(x.shape[1:] + (n_faces,)))
+            faces = block if b == n + 1 else [
+                _euler._component_major(np.empty(x.shape[1:] + (n + 1,)))
                 for x in block]
         if faces is not block:
-            for dst, src in zip(faces, block):
-                dst[a:b] = src
+            for j, x in enumerate(block):
+                faces[j][a:b] = x
     f = faces[0]
     lam = dt / dx
     out = np.subtract(f[1:], f[:-1])
@@ -299,9 +308,11 @@ def _step(model, u, w, dt, dx, bc, first_order):
     np.subtract(u, out, out=out)
     if model.increment is not None:
         model.increment(out, w, faces[1:], dt, dx)
+    f, faces, block = f[::n].copy(), None, None  # keep the end fluxes
+    defect = _defect(model.totals, u, out, f, lam)  # |out| before w_out
     w_out = model.to_prim(out)
     clamps = model.clamps(out) if model.clamps is not None else 0
-    return out, w_out, _defect(model.totals, u, out, f, lam), fallbacks, clamps
+    return out, w_out, defect, fallbacks, clamps
 
 
 def run(case):
@@ -316,10 +327,9 @@ def run(case):
     first_order = case.limiter == "none"
     t_wall = _time.perf_counter()
     model = _euler_model(case) if case.model == "euler" else _tp_model(case)
-    w0 = np.where((mesh.centers < case.x_disc)[:, None],
-                  np.asarray(case.left, float)[None, :],
-                  np.asarray(case.right, float)[None, :])
-    u = model.to_cons(w0)
+    u = model.to_cons(np.where((mesh.centers < case.x_disc)[:, None],
+                               np.asarray(case.left, float)[None, :],
+                               np.asarray(case.right, float)[None, :]))
     w = model.to_prim(u)
 
     out_times = sorted(set(list(case.output_times) + [case.end_time]))

@@ -76,7 +76,8 @@ def preset(name):
 def _covolume_factor(eos, rho):
     """1 - rho*b, raising if the covolume saturates."""
     rho = np.asarray(rho, dtype=float)
-    fac = 1.0 - rho * eos.b
+    fac = rho * -eos.b
+    fac += 1.0  # 1 - rho*b bit for bit, without a second temporary
     bad = fac <= 0.0
     if np.count_nonzero(bad):
         raise EosDomainError(
@@ -89,13 +90,13 @@ def _covolume_factor(eos, rho):
 # With b = 0 the covolume factor is exactly 1, so the functions below skip
 # it: its check cannot fire and multiplying or dividing by 1.0 is exact.
 
-def pressure(eos, rho, e):
-    """Pressure from density and specific internal energy [Pa]."""
+def pressure(eos, rho, e, out=None):
+    """Pressure from density and specific internal energy [Pa], into out."""
     rho = np.asarray(rho, float)
-    p = (eos.gamma - 1.0) * rho * np.asarray(e, float)
+    p = np.multiply(np.multiply(eos.gamma - 1.0, rho, out=out), e, out=out)
     if eos.b:
-        p = p / _covolume_factor(eos, rho)
-    return p - eos.gamma * eos.p_inf
+        p = np.divide(p, _covolume_factor(eos, rho), out=out)
+    return np.subtract(p, eos.gamma * eos.p_inf, out=out)
 
 
 def internal_energy(eos, rho, p):

@@ -75,20 +75,20 @@ def _stack_last(columns):
     return _component_major(np.array(columns, dtype=float))
 
 
-def _cons_terms(w, eos):
-    """(rho, u, p, rho u, rho E) of primitive states."""
+def cons_from_prim(w, eos):
+    """(rho, u, p) -> (rho, rho u, rho E) with E = e + u^2/2."""
     w = np.asarray(w, dtype=float)
     rho, u, p = w[..., 0], w[..., 1], w[..., 2]
     if np.count_nonzero(rho <= 0.0):
         raise EosDomainError(f"non-positive density (min {float(np.min(rho))!r})")
-    e = _eos.internal_energy(eos, rho, p)
-    return rho, u, p, rho * u, rho * (e + 0.5 * u * u)
-
-
-def cons_from_prim(w, eos):
-    """(rho, u, p) -> (rho, rho u, rho E) with E = e + u^2/2."""
-    rho, _, _, ru, etot = _cons_terms(w, eos)
-    return _stack_last((rho, ru, etot))
+    cols = np.empty(w.shape[-1:] + w.shape[:-1])  # one row per column
+    cols[0] = rho
+    np.multiply(rho, u, out=cols[1, ...])
+    etot = np.multiply(0.5, u, out=cols[2, ...])
+    etot *= u
+    etot += _eos.internal_energy(eos, rho, p)
+    etot *= rho
+    return _component_major(cols)
 
 
 def prim_from_cons(uc, eos):
@@ -97,14 +97,17 @@ def prim_from_cons(uc, eos):
     rho = uc[..., 0]
     if np.count_nonzero(rho <= 0.0):
         raise EosDomainError(f"non-positive density (min {float(np.min(rho))!r})")
-    u = uc[..., 1] / rho
-    e = uc[..., 2] / rho - 0.5 * u * u
-    p = _eos.pressure(eos, rho, e)
+    cols = np.empty(uc.shape[-1:] + uc.shape[:-1])
+    cols[0] = rho
+    u, p = np.divide(uc[..., 1], rho, out=cols[1, ...]), cols[2, ...]
+    e = uc[..., 2] / rho
+    e -= np.multiply(np.multiply(0.5, u, out=p), u, out=p)
+    _eos.pressure(eos, rho, e, out=p)
     if np.count_nonzero(p <= -eos.p_inf):  # p + p_inf <= 0, without the sum
         raise EosDomainError(
             f"recovered pressure below -p_inf (min p = {float(np.min(p))!r})"
         )
-    return _stack_last((rho, u, p))
+    return _component_major(cols)
 
 
 def physical_flux(w, eos):
@@ -115,9 +118,14 @@ def physical_flux(w, eos):
 def cons_and_flux(w, eos):
     """(:func:`cons_from_prim`, :func:`physical_flux`) of primitive states,
     sharing one internal-energy evaluation."""
-    rho, u, p, ru, etot = _cons_terms(w, eos)
-    return (_stack_last((rho, ru, etot)),
-            _stack_last((ru, ru * u + p, (etot + p) * u)))
+    uc = cons_from_prim(w, eos)
+    w = np.asarray(w, dtype=float)
+    u, p, ru, etot = w[..., 1], w[..., 2], uc[..., 1], uc[..., 2]
+    cols = np.empty(uc.shape[-1:] + uc.shape[:-1])
+    cols[0] = ru
+    np.add(np.multiply(ru, u, out=cols[1, ...]), p, out=cols[1, ...])
+    np.multiply(np.add(etot, p, out=cols[2, ...]), u, out=cols[2, ...])
+    return uc, _component_major(cols)
 
 
 def davis_wave_speeds(wl, wr, eos):

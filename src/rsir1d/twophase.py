@@ -117,30 +117,31 @@ def tp_prim_from_cons(uc, eos1, eos2):
     """Recover primitives; alpha1 is clamped to [floor, 1-floor] (count
     the clamps with :func:`alpha_clamps`)."""
     uc = np.asarray(uc, dtype=float)
-    a1 = np.clip(uc[..., 0], ALPHA_FLOOR, 1.0 - ALPHA_FLOOR)
-    a2 = 1.0 - a1
-    m1, q1, en1 = uc[..., 1], uc[..., 2], uc[..., 3]
-    m2, q2, en2 = uc[..., 4], uc[..., 5], uc[..., 6]
+    m1, m2 = uc[..., 1], uc[..., 4]
     if np.count_nonzero(m1 <= 0.0) or np.count_nonzero(m2 <= 0.0):
         raise PositivityError(
             f"non-positive apparent density (min phase1 "
             f"{float(np.min(m1))!r}, phase2 {float(np.min(m2))!r})"
         )
-    rho1 = m1 / a1
-    rho2 = m2 / a2
-    u1 = q1 / m1
-    u2 = q2 / m2
-    e1 = en1 / m1 - 0.5 * u1 * u1
-    e2 = en2 / m2 - 0.5 * u2 * u2
-    p1 = _eos.pressure(eos1, rho1, e1)
-    p2 = _eos.pressure(eos2, rho2, e2)
+    cols = np.empty(uc.shape[-1:] + uc.shape[:-1])  # one row per column
+    a1, rho1, u1, p1, rho2, u2, p2 = (cols[k, ...] for k in range(7))
+    np.clip(uc[..., 0], ALPHA_FLOOR, 1.0 - ALPHA_FLOOR, out=a1)
+    np.divide(m1, a1, out=rho1)
+    np.divide(m2, np.subtract(1.0, a1, out=rho2), out=rho2)
+    e = np.empty(a1.shape)
+    for k, rho, u, p, eos in ((1, rho1, u1, p1, eos1),
+                              (4, rho2, u2, p2, eos2)):
+        np.divide(uc[..., k + 1], uc[..., k], out=u)
+        np.divide(uc[..., k + 2], uc[..., k], out=e)
+        e -= np.multiply(np.multiply(0.5, u, out=p), u, out=p)
+        _eos.pressure(eos, rho, e, out=p)
     if (np.count_nonzero(p1 <= -eos1.p_inf)
             or np.count_nonzero(p2 <= -eos2.p_inf)):
         raise PositivityError(
             f"recovered phase pressure below -p_inf (min p1 "
             f"{float(np.min(p1))!r}, min p2 {float(np.min(p2))!r})"
         )
-    return _stack_last((a1, rho1, u1, p1, rho2, u2, p2))
+    return _component_major(cols)
 
 
 def interfacial_pressure(wl, wr):

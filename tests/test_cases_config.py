@@ -265,7 +265,7 @@ def test_every_key_round_trips_into_its_field(key):
         which, sub = key.split(".")
         value, want = EOS_SAMPLES[sub]
         base = E if which == "eos1" else T
-        # a lone field builds a fresh EOS, which needs a preset or gamma
+        # on a preset, so that each field has a known base value
         extra = [] if sub == "preset" else [f"{which}.preset=air-ideal"]
         extra += ["solver=hll-tp"] if which == "eos2" else []
 
@@ -297,3 +297,33 @@ def test_non_finite_input_is_a_config_error(overrides, key):
     case = cases.builtin_case("euler-shock-tube")
     with pytest.raises(cases.ConfigError, match=key):
         cases.apply_overrides(case, overrides)
+
+
+def test_eos_field_override_edits_the_case_eos():
+    """A field without a preset changes only that field of the case's own
+    EOS: water-SG keeps its p_inf when gamma changes."""
+    case = cases.builtin_case("tp-shock-tube")
+    assert case.eos1 == _eos.preset("water-sg")
+    got = cases.apply_overrides(case, ["eos1.gamma=4.0"])
+    assert got.eos1 == replace(_eos.preset("water-sg"), gamma=4.0)
+    assert got.eos2 == case.eos2
+
+
+def test_lone_eos_field_override_needs_no_preset():
+    """A lone p_inf edits the case's EOS; only an absent EOS (eos2 of an
+    Euler case) still needs a preset or gamma."""
+    case = cases.builtin_case("tp-shock-tube")
+    got = cases.apply_overrides(case, ["eos1.p_inf=1e8"])
+    assert got.eos1 == replace(case.eos1, p_inf=1e8)
+    with pytest.raises(cases.ConfigError, match="preset or at least gamma"):
+        cases.apply_overrides(cases.builtin_case("euler-shock-tube"),
+                              ["eos2.p_inf=1e8"])
+
+
+def test_nasg_rejection_names_the_offending_key():
+    """A covolume on the carrier of a relaxed rsir-tp case is rejected by
+    the NASG check, whose message names the key that made it NASG."""
+    case = cases.builtin_case("tp-shock-tube")
+    with pytest.raises(cases.ConfigError,
+                       match=r"got eos2\.b = 0\.001 \(NASG\)"):
+        cases.apply_overrides(case, ["eos2.b=1e-3"])
