@@ -124,7 +124,7 @@ class _Model:
     face_fields: tuple = ()   # flux-record fields that ``increment`` reads
     increment: object = None  # (out, w, face fields, dt, dx): H-terms
     clamps: object = None     # conserved -> number of volume-fraction clamps
-    sources: object = None    # (u, dt) -> (u after sources, RelaxReport|None)
+    sources: object = None    # (u, w, dt) -> (u, w, RelaxReport|None)
 
 
 def _euler_flux_fn(solver, eos, beta):
@@ -196,16 +196,20 @@ def _tp_model(case):
             out[:, gain] += h
             out[:, loss] -= h
 
-    def sources(u, dt):
+    def sources(u, w, dt):
+        # drag changes the velocities, so its state is recovered once;
+        # relaxation takes primitives and returns the relaxed ones
         if case.drag_model == "constant" and case.drag_lambda > 0.0:
             u = _relax.velocity_relax(u, case.drag_lambda, dt)
         elif case.drag_model == "clift-gauvin":
             u = _relax.drag_clift_gauvin(u, case.drag_radius, case.drag_mu2,
                                          dt)
+        if case.drag_model != "none":
+            w = _tp.tp_prim_from_cons(u, eos1, eos2)
         report = None
         if case.pressure_relax:
-            u, report = _relax.pressure_relax_stiff(u, eos1, eos2)
-        return u, report
+            u, report, w = _relax.pressure_relax_stiff(u, w, eos1, eos2)
+        return u, w, report
 
     return _Model(
         velocity_slots=(2, 5),
@@ -349,7 +353,8 @@ def run(case):
             dt = min(dt, t_out - t)  # land exactly on output times
             for attempt in range(12):
                 try:
-                    u_new, w_new, defect, fallbacks, clamps = _step(
+                    # binds u and w only once the step has succeeded
+                    u, w, defect, fallbacks, clamps = _step(
                         model, u, w, dt, dx, case.boundary, first_order)
                     break
                 except (EosDomainError, PositivityError,
@@ -364,14 +369,12 @@ def run(case):
             n_fallback += fallbacks
             n_clamp += clamps
             if model.sources is not None:
-                u_new, report = model.sources(u_new, dt)
-                w_new = model.to_prim(u_new)
+                u, w, report = model.sources(u, w, dt)
                 if report is not None:
                     n_bisect += report.iterations > 0
                     max_residual = _nan_max(max_residual, report.residual)
                     max_energy_defect = _nan_max(max_energy_defect,
                                                  report.conservation_defect)
-            u, w = u_new, w_new
             t += dt
             step += 1
         snapshots.append((t_out, w))

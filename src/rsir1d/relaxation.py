@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .twophase import ALPHA_FLOOR
+from .euler import _component_major
+from .twophase import ALPHA_FLOOR, _check_pressures
 
 __all__ = [
     "RelaxationError",
@@ -35,57 +36,16 @@ class RelaxReport:
     conservation_defect: float  # max relative mixture-energy drift
 
 
-def _phase_split(uc):
-    uc = np.asarray(uc, dtype=float)
-    a1 = np.clip(uc[..., 0], ALPHA_FLOOR, 1.0 - ALPHA_FLOOR)
-    return (a1, uc[..., 1], uc[..., 2], uc[..., 3],
-            uc[..., 4], uc[..., 5], uc[..., 6])
-
-
-def _saturation_coeffs(uc, eos1, eos2):
-    """alpha_k'(p) = (A_k + B_k p)/(p + p_inf_k) for SG/ideal phases,
-    from conserving phase masses and exchanging interface-pressure work."""
-    a1, m1, q1, en1, m2, q2, en2 = _phase_split(uc)
-    a2 = 1.0 - a1
-    u1 = q1 / m1
-    u2 = q2 / m2
-    e1 = en1 / m1 - 0.5 * u1 * u1
-    e2 = en2 / m2 - 0.5 * u2 * u2
-    # phase pressures before relaxation
-    g1, g2 = eos1.gamma, eos2.gamma
-    p1 = (g1 - 1.0) * m1 / a1 * e1 - g1 * eos1.p_inf
-    p2 = (g2 - 1.0) * m2 / a2 * e2 - g2 * eos2.p_inf
-    A1 = a1 * (p1 + g1 * eos1.p_inf) / g1
-    B1 = a1 * (g1 - 1.0) / g1
-    A2 = a2 * (p2 + g2 * eos2.p_inf) / g2
-    B2 = a2 * (g2 - 1.0) / g2
-    return (A1, B1, A2, B2), (p1, p2), (a1, m1, e1, m2, e2, u1, u2, q1, q2,
-                                        en1, en2)
-
-
 def _saturation_residual(p, coeffs, eos1, eos2):
     A1, B1, A2, B2 = coeffs
     return ((A1 + B1 * p) / (p + eos1.p_inf)
             + (A2 + B2 * p) / (p + eos2.p_inf) - 1.0)
 
 
-def pressure_relax_stiff(uc, eos1, eos2):
-    """Instantaneous pressure equilibration (SG/ideal phases).
-
-    Phase masses and momenta are untouched; phase internal energies are
-    updated by interface-pressure work e_k' = e_k - p_eq (v_k' - v_k).
-    Imposing the saturation constraint yields a quadratic in p_eq; the
-    admissible root is refined by bisection when the closed form is
-    unusable.  Returns (relaxed state, RelaxReport).
-    """
-    if eos1.b != 0.0 or eos2.b != 0.0:
-        raise ValueError("pressure relaxation supports SG/ideal phases only")
-    uc_in = np.asarray(uc, dtype=float)
-    uc = uc_in.reshape(-1, 7)
-    coeffs, (p1, p2), aux = _saturation_coeffs(uc, eos1, eos2)
+def _equilibrium_pressure(coeffs, p1, p2, eos1, eos2):
+    """(p_eq, bisection iterations): the admissible root of the saturation
+    quadratic, refined by bisection where the closed form is unusable."""
     A1, B1, A2, B2 = coeffs
-    a1, m1, e1, m2, e2, u1, u2, q1, q2, en1, en2 = aux
-
     pi1, pi2 = eos1.p_inf, eos2.p_inf
     qa = B1 + B2 - 1.0
     qb = A1 + A2 + B1 * pi2 + B2 * pi1 - pi1 - pi2
@@ -123,32 +83,74 @@ def pressure_relax_stiff(uc, eos1, eos2):
                 break
         p_eq = np.where(idx, 0.0, p_eq)
         p_eq[idx] = 0.5 * (lo + hi)
+    return p_eq, iters
 
-    # new volume fractions and internal energies at p_eq
-    a1p = (A1 + B1 * p_eq) / (p_eq + pi1)
-    a2p = (A2 + B2 * p_eq) / (p_eq + pi2)
-    v1 = a1 / m1
-    v2 = (1.0 - a1) / m2
-    e1p = e1 - p_eq * (a1p / m1 - v1)
-    e2p = e2 - p_eq * (a2p / m2 - v2)
 
-    out = np.copy(uc)
-    out[..., 0] = a1p
-    out[..., 3] = m1 * (e1p + 0.5 * u1 * u1)
-    out[..., 6] = m2 * (e2p + 0.5 * u2 * u2)
+def pressure_relax_stiff(uc, w, eos1, eos2):
+    """Instantaneous pressure equilibration (SG/ideal phases) of conserved
+    states ``uc`` with primitives ``w`` (``tp_prim_from_cons(uc)``).
 
+    Phase masses and momenta are untouched; phase internal energies are
+    updated by interface-pressure work e_k' = e_k - p_eq (v_k' - v_k).
+    Imposing the saturation constraint yields a quadratic in p_eq; the
+    admissible root is refined by bisection when the closed form is
+    unusable.  Returns new arrays (relaxed state, RelaxReport, its
+    primitives); the primitives are tp_prim_from_cons of the relaxed
+    state, alpha1 clamp and p_k > -p_inf check included, bit for bit.
+    """
+    if eos1.b != 0.0 or eos2.b != 0.0:
+        raise ValueError("pressure relaxation supports SG/ideal phases only")
+    uc_in = np.asarray(uc, dtype=float)
+    uc = uc_in.reshape(-1, 7)
+    w = np.asarray(w, dtype=float).reshape(-1, 7)
+    a1 = w[:, 0]
+    a2 = 1.0 - a1
     g1, g2 = eos1.gamma, eos2.gamma
-    p1p = (g1 - 1.0) * m1 / a1p * e1p - g1 * pi1
-    p2p = (g2 - 1.0) * m2 / a2p * e2p - g2 * pi2
-    scale = np.maximum(np.abs(p1p), np.abs(p2p)) + 1e-300
-    residual = float(np.max(np.abs(p1p - p2p) / scale))
-    e_before = uc[..., 3] + uc[..., 6]
-    e_after = out[..., 3] + out[..., 6]
+    pi1, pi2 = eos1.p_inf, eos2.p_inf
+    # alpha_k'(p) = (A_k + B_k p)/(p + p_inf_k) for SG/ideal phases, from
+    # conserving phase masses and exchanging interface-pressure work
+    coeffs = A1, B1, A2, B2 = (
+        a1 * (w[:, 3] + g1 * pi1) / g1, a1 * (g1 - 1.0) / g1,
+        a2 * (w[:, 6] + g2 * pi2) / g2, a2 * (g2 - 1.0) / g2)
+    p_eq, iters = _equilibrium_pressure(coeffs, w[:, 3], w[:, 6], eos1, eos2)
+    # new volume fractions at p_eq; each phase's energy takes the
+    # interface-pressure work -p_eq (alpha_k' - alpha_k)
+    out = np.copy(uc)
+    a1p = np.divide(A1 + B1 * p_eq, p_eq + pi1, out=out[:, 0])
+    out[:, 3] -= p_eq * (a1p - a1)
+    out[:, 6] -= p_eq * ((A2 + B2 * p_eq) / (p_eq + pi2) - a2)
+    del coeffs, A1, B1, A2, B2, a2  # free these before the recovery's rows
+
+    # the primitives, as tp_prim_from_cons recovers them from out; with
+    # b = 0 the EOS pressure is (gamma - 1) rho e - gamma p_inf
+    cols = np.empty((7,) + a1p.shape)  # one row per column
+    a1c = np.clip(a1p, ALPHA_FLOOR, 1.0 - ALPHA_FLOOR, out=cols[0])
+    np.divide(out[:, 1], a1c, out=cols[1])
+    np.divide(out[:, 4], np.subtract(1.0, a1c, out=cols[4]), out=cols[4])
+    e = np.empty(a1p.shape)
+    for k, eos in ((1, eos1), (4, eos2)):
+        rho, u, p = cols[k], cols[k + 1], cols[k + 2]
+        u[...] = w[:, k + 1]
+        np.divide(out[:, k + 2], out[:, k], out=e)
+        e -= np.multiply(np.multiply(0.5, u, out=p), u, out=p)
+        np.multiply(np.multiply(eos.gamma - 1.0, rho, out=p), e, out=p)
+        p -= eos.gamma * eos.p_inf
+    p1, p2 = cols[3], cols[6]
+    _check_pressures(p1, p2, eos1, eos2)
+    # a clamped alpha1, not the relaxation, sets the pressures of its cells
+    gap = np.abs(p1 - p2)
+    gap[a1c != a1p] = 0.0
+    residual = float(np.max(gap / (np.maximum(np.abs(p1), np.abs(p2))
+                                   + 1e-300)))
+    e_before = uc[:, 3] + uc[:, 6]
+    e_after = out[:, 3] + out[:, 6]
     defect = float(np.max(np.abs(e_after - e_before)
                           / (np.abs(e_before) + 1e-300)))
-    return out.reshape(uc_in.shape), RelaxReport(
-        p_eq=p_eq.reshape(uc_in.shape[:-1]), iterations=iters,
-        residual=residual, conservation_defect=defect)
+    report = RelaxReport(p_eq=p_eq.reshape(uc_in.shape[:-1]),
+                         iterations=iters, residual=residual,
+                         conservation_defect=defect)
+    return (out.reshape(uc_in.shape), report,
+            _component_major(cols).reshape(uc_in.shape))
 
 
 def _apply_velocity_update(uc, factor):

@@ -2,17 +2,17 @@
 rule, local conservative formulation, Rusanov variants, and the two-phase
 internal-reconstruction solver.
 
-Phase 1 is the dispersed fluid, phase 2 the carrier.  Layouts:
+Phase 1 is the dispersed fluid, phase 2 the carrier.  Both layouts have
+the 7 slots of the model's 7 equations:
 
 primitive  (7): (alpha1, rho1, u1, p1, rho2, u2, p2)
 conserved  (7): (alpha1, (ar)1, (aru)1, (arE)1, (ar)2, (aru)2, (arE)2)
-local-conservative state (8): conserved with alpha2 inserted at slot 4:
-            (alpha1, (ar)1, (aru)1, (arE)1, alpha2, (ar)2, (aru)2, (arE)2)
 
 The interfacial pressure p_i is frozen per interface (pressure of
 phase 1 on the side where that phase is present), which makes the system
-locally conservative; the 8-slot flux of that system is called `phi`
-throughout.  All functions are vectorized over leading axes.
+locally conservative in the same 7 unknowns, with alpha2 = 1 - alpha1;
+the flux of that system is called `phi` throughout.  All functions are
+vectorized over leading axes.
 """
 
 from dataclasses import dataclass
@@ -21,8 +21,9 @@ import numpy as np
 
 from . import eos as _eos
 from . import euler as _euler
+from .eos import EosDomainError
 from .euler import (PositivityError, _check_beta, _component_major,
-                    _stack_last, _star_flux, _weights)
+                    _star_flux, _weights)
 
 __all__ = [
     "ALPHA_FLOOR",
@@ -32,7 +33,6 @@ __all__ = [
     "tp_prim_from_cons",
     "alpha_clamps",
     "interfacial_pressure",
-    "local_state_and_flux",
     "tp_cons_and_local_flux",
     "phys_flux",
     "tp_wave_bounds",
@@ -80,10 +80,7 @@ class TwoPhaseFan(TwoPhaseFaceFlux):
     n_fallback: int = 0
 
 
-def _phase_terms(w, eos1, eos2):
-    """Pieces shared by the conserved state and the fluxes of primitive
-    states, with one internal-energy evaluation per phase: (a1, a2, u1,
-    u2, p1, p2, (ar)1, (ar)2, (aru)1, (aru)2, (arE)1, (arE)2)."""
+def tp_cons_from_prim(w, eos1, eos2):
     w = np.asarray(w, dtype=float)
     a1 = w[..., 0]
     if np.count_nonzero((a1 <= 0.0) | (a1 >= 1.0)):
@@ -91,19 +88,19 @@ def _phase_terms(w, eos1, eos2):
             f"alpha1 must lie strictly inside (0,1), got extrema "
             f"[{float(np.min(a1))!r}, {float(np.max(a1))!r}]"
         )
-    a2 = 1.0 - a1
-    rho1, u1, p1 = w[..., 1], w[..., 2], w[..., 3]
-    rho2, u2, p2 = w[..., 4], w[..., 5], w[..., 6]
-    m1 = a1 * rho1
-    m2 = a2 * rho2
-    en1 = m1 * (_eos.internal_energy(eos1, rho1, p1) + 0.5 * u1 * u1)
-    en2 = m2 * (_eos.internal_energy(eos2, rho2, p2) + 0.5 * u2 * u2)
-    return a1, a2, u1, u2, p1, p2, m1, m2, m1 * u1, m2 * u2, en1, en2
-
-
-def tp_cons_from_prim(w, eos1, eos2):
-    a1, _, _, _, _, _, m1, m2, q1, q2, en1, en2 = _phase_terms(w, eos1, eos2)
-    return _stack_last((a1, m1, q1, en1, m2, q2, en2))
+    cols = np.empty(w.shape[-1:] + w.shape[:-1])  # one row per column
+    cols[0] = a1
+    np.multiply(a1, w[..., 1], out=cols[1, ...])
+    np.multiply(np.subtract(1.0, a1, out=cols[4, ...]), w[..., 4],
+                out=cols[4, ...])
+    for k, eos in ((1, eos1), (4, eos2)):
+        m, u = cols[k, ...], w[..., k + 1]
+        np.multiply(m, u, out=cols[k + 1, ...])
+        en = np.multiply(0.5, u, out=cols[k + 2, ...])
+        en *= u
+        en += _eos.internal_energy(eos, w[..., k], w[..., k + 2])
+        en *= m
+    return _component_major(cols)
 
 
 def alpha_clamps(uc):
@@ -135,13 +132,18 @@ def tp_prim_from_cons(uc, eos1, eos2):
         np.divide(uc[..., k + 2], uc[..., k], out=e)
         e -= np.multiply(np.multiply(0.5, u, out=p), u, out=p)
         _eos.pressure(eos, rho, e, out=p)
+    _check_pressures(p1, p2, eos1, eos2)
+    return _component_major(cols)
+
+
+def _check_pressures(p1, p2, eos1, eos2):
+    """Raise unless each recovered phase pressure exceeds its -p_inf."""
     if (np.count_nonzero(p1 <= -eos1.p_inf)
             or np.count_nonzero(p2 <= -eos2.p_inf)):
         raise PositivityError(
             f"recovered phase pressure below -p_inf (min p1 "
             f"{float(np.min(p1))!r}, min p2 {float(np.min(p2))!r})"
         )
-    return _component_major(cols)
 
 
 def interfacial_pressure(wl, wr):
@@ -155,59 +157,61 @@ def interfacial_pressure(wl, wr):
                     np.where(a1l < a1r, p1r, 0.5 * (p1l + p1r)))
 
 
-def _local_columns(w, p_i, eos1, eos2):
-    """(state columns, flux columns) of :func:`local_state_and_flux` less
-    its alpha2 slot 4, and that slot's (alpha2, alpha1 u1)."""
-    (a1, a2, u1, u2, p1, p2,
-     m1, m2, q1, q2, en1, en2) = _phase_terms(w, eos1, eos2)
-    p_i = np.asarray(p_i, dtype=float)
-    au1 = a1 * u1
-    return ([a1, m1, q1, en1, m2, q2, en2],
-            [au1, q1, q1 * u1 + a1 * (p1 - p_i), (en1 + a1 * (p1 - p_i)) * u1,
-             q2, q2 * u2 + a2 * (p2 - p_i),
-             (en2 + a2 * p2) * u2 + p_i * a1 * u1], a2, au1)
-
-
-def local_state_and_flux(w, p_i, eos1, eos2):
-    """The 8-slot local-conservative state of primitive states ``w`` and
-    the flux of the locally conservative system for frozen ``p_i``,
-    sharing one internal-energy evaluation per phase."""
-    v, phi, a2, au1 = _local_columns(w, p_i, eos1, eos2)
-    return (_stack_last(v[:4] + [a2] + v[4:]),
-            _stack_last(phi[:4] + [-au1] + phi[4:]))
-
-
 def tp_cons_and_local_flux(w, p_i, eos1, eos2):
-    """:func:`local_state_and_flux` less its alpha2 slot 4: the conserved
-    state and the MUSCL-Hancock predictor flux for frozen p_i."""
-    v, phi, _, _ = _local_columns(w, p_i, eos1, eos2)
-    return _stack_last(v), _stack_last(phi)
+    """Conserved state of primitive states ``w`` and the flux ``phi`` of
+    the locally conservative system for frozen ``p_i``, sharing one
+    internal-energy evaluation per phase."""
+    uc = tp_cons_from_prim(w, eos1, eos2)
+    w = np.asarray(w, dtype=float)
+    a1, u1, p1, u2, p2 = (w[..., k] for k in (0, 2, 3, 5, 6))
+    _, _, q1, en1, _, q2, en2 = (uc[..., k] for k in range(7))
+    cols = np.empty(uc.shape[-1:] + uc.shape[:-1])
+    f0, f1, f2, f3, f4, f5, f6 = (cols[k, ...] for k in range(7))
+    np.multiply(a1, u1, out=f0)
+    f1[...] = q1
+    np.multiply(np.subtract(p1, p_i, out=f3), a1, out=f3)
+    np.add(np.multiply(q1, u1, out=f2), f3, out=f2)
+    f3 += en1
+    f3 *= u1
+    f4[...] = q2
+    a2 = np.subtract(1.0, a1, out=np.empty(a1.shape))
+    np.multiply(np.subtract(p2, p_i, out=f6), a2, out=f6)
+    np.add(np.multiply(q2, u2, out=f5), f6, out=f5)
+    np.multiply(a2, p2, out=f6)
+    f6 += en2
+    f6 *= u2
+    f6 += np.multiply(np.multiply(p_i, a1, out=a2), u1, out=a2)
+    return uc, _component_major(cols)
 
 
 def phys_flux(w, eos1, eos2):
     """Flux F of the non-conservative formulation (7 slots)."""
-    w = np.asarray(w, dtype=float)
-    uc = tp_cons_from_prim(w, eos1, eos2)
-    return _phys_flux_of(w, uc[..., 2], uc[..., 3], uc[..., 5], uc[..., 6])
+    return _phys_flux_of(np.asarray(w, float), tp_cons_from_prim(w, eos1, eos2))
 
 
-def _phys_flux_of(w, q1, en1, q2, en2):
-    """:func:`phys_flux` of primitive states ``w`` from their phase momenta
-    and total energies, which a conserved or local state already holds."""
+def _phys_flux_of(w, uc):
+    """:func:`phys_flux` of primitive states ``w`` from their conserved
+    states ``uc``, which hold the phase momenta and total energies."""
     a1, u1, p1 = w[..., 0], w[..., 2], w[..., 3]
     a2, u2, p2 = 1.0 - a1, w[..., 5], w[..., 6]
-    return _stack_last((a1 * u1, q1, q1 * u1 + a1 * p1, (en1 + a1 * p1) * u1,
-                        q2, q2 * u2 + a2 * p2, (en2 + a2 * p2) * u2))
+    q1, en1, q2, en2 = (uc[..., k] for k in (2, 3, 5, 6))
+    return _euler._stack_last((
+        a1 * u1, q1, q1 * u1 + a1 * p1, (en1 + a1 * p1) * u1,
+        q2, q2 * u2 + a2 * p2, (en2 + a2 * p2) * u2))
+
+
+def _bounds(w, eos2):
+    """(S_L, S_R) of a side batch ``w`` of shape (2, ..., 7), left at
+    index 0: Davis-type exterior bounds over the eigenvalues u1, u2 -+ c2."""
+    c2 = _eos.sound_speed(eos2, w[..., 4], w[..., 6])
+    lo = np.minimum(w[..., 2], w[..., 5] - c2)
+    hi = np.maximum(w[..., 2], w[..., 5] + c2)
+    return np.minimum(*lo), np.maximum(*hi)
 
 
 def tp_wave_bounds(wl, wr, eos2):
     """Davis-type exterior bounds over the eigenvalues u1, u2 -+ c2."""
-    lo, hi = [], []
-    for w in (np.asarray(wl, float), np.asarray(wr, float)):
-        c2 = _eos.sound_speed(eos2, w[..., 4], w[..., 6])
-        lo.append(np.minimum(w[..., 2], w[..., 5] - c2))
-        hi.append(np.maximum(w[..., 2], w[..., 5] + c2))
-    return np.minimum(*lo), np.maximum(*hi)
+    return _bounds(np.stack(np.broadcast_arrays(wl, wr)), eos2)
 
 
 def rusanov_speed(wl, wr, eos2):
@@ -217,77 +221,79 @@ def rusanov_speed(wl, wr, eos2):
     return np.maximum(-s_l, s_r)
 
 
+def _sides(wl, wr, eos1, eos2, local=True):
+    """Both sides as one batch: (primitives, conserved states, fluxes ``phi``
+    for p_i, or F if not ``local``) of shape (2, ..., 7), p_i, S_L, S_R."""
+    w = _component_major(np.empty((7, 2) + np.broadcast(wl, wr).shape[:-1]))
+    w[0], w[1] = wl, wr
+    p_i = interfacial_pressure(w[0], w[1])
+    try:
+        s_l, s_r = _bounds(w, eos2)
+        if local:
+            uc, f = tp_cons_and_local_flux(w, p_i, eos1, eos2)
+        else:
+            uc = tp_cons_from_prim(w, eos1, eos2)
+            f = _phys_flux_of(w, uc)
+    except (EosDomainError, PositivityError):  # quote the first offending side
+        for side in w:
+            _eos.sound_speed(eos2, side[..., 4], side[..., 6])
+        for side in w:
+            tp_cons_from_prim(side, eos1, eos2)
+        raise
+    return w, uc, f, p_i, s_l, s_r
+
+
 def rusanov_basic_flux(wl, wr, eos1, eos2):
     """Rusanov flux on the non-conservative form; pairs with arithmetic
     face averages in the H-terms."""
-    wl = np.asarray(wl, float)
-    wr = np.asarray(wr, float)
-    s = rusanov_speed(wl, wr, eos2)[..., None]
-    ul = tp_cons_from_prim(wl, eos1, eos2)
-    ur = tp_cons_from_prim(wr, eos1, eos2)
-    fl = _phys_flux_of(wl, ul[..., 2], ul[..., 3], ul[..., 5], ul[..., 6])
-    fr = _phys_flux_of(wr, ur[..., 2], ur[..., 3], ur[..., 5], ur[..., 6])
-    f = 0.5 * (fr + fl - s * (ur - ul))
-    alpha_face = 0.5 * (wl[..., 0] + wr[..., 0])
-    phi_alpha_face = 0.5 * (wl[..., 0] * wl[..., 2] + wr[..., 0] * wr[..., 2])
-    return TwoPhaseFaceFlux(f_flux=f, alpha_face=alpha_face,
-                            phi_alpha_face=phi_alpha_face,
-                            p_i=interfacial_pressure(wl, wr))
+    w, uc, f, p_i, s_l, s_r = _sides(wl, wr, eos1, eos2, local=False)
+    s = np.maximum(-s_l, s_r)[..., None]
+    flux = 0.5 * (f[1] + f[0] - s * (uc[1] - uc[0]))
+    a1, au1 = w[..., 0], f[..., 0]
+    return TwoPhaseFaceFlux(f_flux=flux, alpha_face=0.5 * (a1[0] + a1[1]),
+                            phi_alpha_face=0.5 * (au1[0] + au1[1]), p_i=p_i)
 
 
-def _f_from_phi(phi, p_i, a1_face, a2_face, phi_a1, phi_a2):
-    """F-flux of the non-conservative form from a local-conservative flux
-    ``phi`` and the face values of its frozen-p_i corrections."""
-    return _stack_last((
-        phi[..., 0], phi[..., 1], phi[..., 2] + p_i * a1_face,
-        phi[..., 3] + p_i * phi_a1, phi[..., 5], phi[..., 6] + p_i * a2_face,
-        phi[..., 7] + p_i * phi_a2))
+def _f_from_phi(phi, p_i, a1_face):
+    """F-flux of the non-conservative form, in place of the local flux
+    ``phi``, whose slot 0 is the face value of alpha1 u1."""
+    phi[..., 2] += p_i * a1_face
+    phi[..., 3] += p_i * phi[..., 0]
+    phi[..., 5] += p_i * (1.0 - a1_face)
+    phi[..., 6] -= p_i * phi[..., 0]
+    return phi
 
 
 def rusanov_local_flux(wl, wr, eos1, eos2):
     """Rusanov flux built on the locally conservative system; the F-flux
     of the non-conservative form is recovered by adding the frozen-p_i
     corrections."""
-    wl = np.asarray(wl, float)
-    wr = np.asarray(wr, float)
-    p_i = interfacial_pressure(wl, wr)
-    s = rusanov_speed(wl, wr, eos2)
-    ul, phil = local_state_and_flux(wl, p_i, eos1, eos2)
-    ur, phir = local_state_and_flux(wr, p_i, eos1, eos2)
-    phi_star = 0.5 * (phir + phil - s[..., None] * (ur - ul))
-    # face volume fractions from the Rusanov intermediate state
-    a1l, a1r = wl[..., 0], wr[..., 0]
-    au1l = a1l * wl[..., 2]
-    au1r = a1r * wr[..., 2]
-    a1_star = 0.5 * (a1r + a1l - (au1r - au1l) / s)
-    a2_star = 0.5 * ((1.0 - a1r) + (1.0 - a1l) - (-au1r + au1l) / s)
-    f = _f_from_phi(phi_star, p_i, a1_star, a2_star, phi_star[..., 0],
-                    phi_star[..., 4])
+    w, v, phi, p_i, s_l, s_r = _sides(wl, wr, eos1, eos2)
+    s = np.maximum(-s_l, s_r)
+    phi_star = 0.5 * (phi[1] + phi[0] - s[..., None] * (v[1] - v[0]))
+    # face volume fraction from the Rusanov intermediate state
+    a1, au1 = v[..., 0], phi[..., 0]
+    a1_star = 0.5 * (a1[1] + a1[0] - (au1[1] - au1[0]) / s)
+    f = _f_from_phi(phi_star, p_i, a1_star)
     return TwoPhaseFaceFlux(f_flux=f, alpha_face=a1_star,
-                            phi_alpha_face=phi_star[..., 0], p_i=p_i)
+                            phi_alpha_face=f[..., 0], p_i=p_i)
 
 
 def tp_hll_state(vl, vr, phil, phir, s_l, s_r):
-    """HLL state of the local conservative system plus the two contact
-    speeds and the prolonged carrier density.
-
-    Returns (u_hll, s_m1, s_m2, rho2_bar).
-    """
+    """(HLL state of the local conservative system, S_M1, S_M2)."""
     u_hll = _euler.hll_state(vl, vr, phil, phir, s_l, s_r)
-    for slot, name in ((1, "phase 1"), (5, "phase 2")):
+    for slot, name in ((1, "phase 1"), (4, "phase 2")):
         if np.count_nonzero(u_hll[..., slot] <= 0.0):
             raise PositivityError(
                 f"non-positive HLL apparent density for {name}")
-    s_m1 = u_hll[..., 2] / u_hll[..., 1]
-    s_m2 = u_hll[..., 6] / u_hll[..., 5]
-    rho2_bar = u_hll[..., 5] / u_hll[..., 4]
-    return u_hll, s_m1, s_m2, rho2_bar
+    return u_hll, u_hll[..., 2] / u_hll[..., 1], u_hll[..., 5] / u_hll[..., 4]
 
 
-def _tp_psi(wl, wr, u_hll, s_m1, s_m2, rho2_bar, p_i, om_l, om_r, beta,
-            eos1, eos2):
-    """Jump vector psi across the phase-1 contact wave (8 slots); its
-    energy slot 3 uses the star masses u_hll[1] -/+ om_r/om_l psi[1]."""
+def _tp_psi(fan, wl, wr, om_l, om_r, beta, eos1, eos2):
+    """Jump vector psi across the phase-1 contact wave of the HLL fan
+    ``fan``; its energy slot 3 uses the star masses u_hll[1] -/+ om_r/om_l
+    psi[1]."""
+    u_hll, s_m1, s_m2, p_i = fan.u_star_l, fan.s_m1, fan.s_m2, fan.p_i
     a1l, a1r = wl[..., 0], wr[..., 0]
     m1l = a1l * wl[..., 1]
     m1r = a1r * wr[..., 1]
@@ -295,7 +301,7 @@ def _tp_psi(wl, wr, u_hll, s_m1, s_m2, rho2_bar, p_i, om_l, om_r, beta,
     d_m1 = beta * (m1r - m1l)
     g1 = eos1.gamma
     g2 = eos2.gamma
-    psi = _component_major(np.empty((8,) + np.broadcast(a1l, a1r).shape))
+    psi = _component_major(np.empty((7,) + np.broadcast(a1l, a1r).shape))
     psi[..., 0] = d_a1
     psi[..., 1] = d_m1
     psi[..., 2] = d_m1 * s_m1
@@ -309,104 +315,92 @@ def _tp_psi(wl, wr, u_hll, s_m1, s_m2, rho2_bar, p_i, om_l, om_r, beta,
                    + d_m1 * 0.5 * s_m1 * s_m1
                    + beta * (m1_star_l * u1l * (u1l - s_m1)
                              - m1_star_r * u1r * (u1r - s_m1)) / (g1 - 1.0))
-    # phase 2: alpha2 jump is minus the phase-1 jump, carrier density
-    # prolonged as rho2_bar, single carrier star velocity S_M2
+    # phase 2: alpha2 jumps by minus the phase-1 jump, the carrier density
+    # is prolonged as rho2_bar = (ar)2 / (1 - alpha1) of the HLL state, and
+    # the carrier has the single star velocity S_M2
     d_a2 = -d_a1
-    psi[..., 4] = d_a2
-    psi[..., 5] = d_a2 * rho2_bar
-    psi[..., 6] = d_a2 * rho2_bar * s_m2
-    psi[..., 7] = d_a2 * (
+    rho2_bar = u_hll[..., 4] / (1.0 - u_hll[..., 0])
+    psi[..., 4] = d_a2 * rho2_bar
+    psi[..., 5] = d_a2 * rho2_bar * s_m2
+    psi[..., 6] = d_a2 * (
         rho2_bar * (0.5 * s_m2 * s_m2 - s_m2 * (s_m2 - s_m1) / (g2 - 1.0))
         + (p_i + g2 * eos2.p_inf) / (g2 - 1.0))
     return psi
 
 
-def rsir_reconstruct(u_hll, wl, wr, s_l, s_m1, s_m2, s_r, rho2_bar, p_i,
-                     beta, eos1, eos2):
-    """Split the HLL state into two star states using the phase-1 contact
-    jump conditions (mass/momentum first, then energy) and the prolonged
+def rsir_reconstruct(fan, wl, wr, beta, eos1, eos2):
+    """Split the HLL state of ``fan``, an HLL fan such as :func:`tp_hll_flux`
+    returns, into two star states using the phase-1 contact jump
+    conditions (mass/momentum first, then energy) and the prolonged
     carrier-density closure for phase 2.
 
     Returns (u_star_l, u_star_r, bad) where ``bad`` flags interfaces whose
     inadmissible reconstruction the caller's beta=0 fallback changes.
     """
-    om_l, om_r = _weights(s_l, s_m1, s_r)
-    psi = _tp_psi(wl, wr, u_hll, s_m1, s_m2, rho2_bar, p_i, om_l, om_r, beta,
-                  eos1, eos2)
+    u_hll = fan.u_star_l
+    om_l, om_r = _weights(fan.s_l, fan.s_m1, fan.s_r)
+    psi = _tp_psi(fan, wl, wr, om_l, om_r, beta, eos1, eos2)
     u_star_l = u_hll - om_r[..., None] * psi
     u_star_r = u_hll + om_l[..., None] * psi
-    bad = np.zeros(np.shape(s_m1), dtype=bool)
-    for star in (u_star_l, u_star_r):
+    bad = np.zeros(np.shape(fan.s_m1), dtype=bool)
+    for star in (u_star_l, u_star_r):  # alpha2 = 1 - alpha1 passes with it
         bad |= (star[..., 0] < ALPHA_FLOOR) | (star[..., 0] > 1.0 - ALPHA_FLOOR)
-        bad |= (star[..., 4] < ALPHA_FLOOR) | (star[..., 4] > 1.0 - ALPHA_FLOOR)
-        bad |= (star[..., 1] <= 0.0) | (star[..., 5] <= 0.0)
+        bad |= (star[..., 1] <= 0.0) | (star[..., 4] <= 0.0)
     if np.count_nonzero(bad):
         bad &= ((u_star_l != u_hll) | (u_star_r != u_hll)).any(axis=-1)
     return u_star_l, u_star_r, bad
 
 
-def _tp_flux_from_fan(wl, wr, vl, vr, phil, phir, u_star_l, u_star_r,
-                      s_l, s_m1, s_m2, s_r, p_i, n_fallback=0):
-    phi_star = _star_flux(u_star_l, u_star_r, vl, vr, phil, phir,
-                          s_l, s_m1, s_r)
-    a1l, a1r = wl[..., 0], wr[..., 0]
-    au1l = a1l * wl[..., 2]
-    au1r = a1r * wr[..., 2]
-    # HLL-form face volume fraction, sampled in the supersonic branches
-    a1_face = (au1r - au1l + s_l * a1l - s_r * a1r) / (s_l - s_r)
-    # face value of the alpha1-equation flux, same sampling as the F-flux
-    phi_a1 = phi_star[..., 0]
-    flux = _f_from_phi(phi_star, p_i, a1_face, 1.0 - a1_face, phi_a1,
-                       -phi_a1)
-    # supersonic faces take a side's F-flux, built from its local state
-    # (no second EOS pass) and only when some face needs it
-    for sup, w, v, a1, au1 in ((s_l >= 0.0, wl, vl, a1l, au1l),
-                               (s_r <= 0.0, wr, vr, a1r, au1r)):
-        if np.count_nonzero(sup):
-            a1_face = np.where(sup, a1, a1_face)
-            phi_a1 = np.where(sup, au1, phi_a1)
-            np.copyto(flux, _phys_flux_of(w, v[..., 2], v[..., 3], v[..., 6],
-                                          v[..., 7]), where=sup[..., None])
-    return TwoPhaseFan(
-        f_flux=flux, alpha_face=a1_face, phi_alpha_face=phi_a1, p_i=p_i,
-        s_l=s_l, s_m1=s_m1, s_m2=s_m2, s_r=s_r,
-        u_star_l=u_star_l, u_star_r=u_star_r, n_fallback=n_fallback)
-
-
 def _tp_fan_common(wl, wr, eos1, eos2):
-    wl = np.asarray(wl, float)
-    wr = np.asarray(wr, float)
-    s_l, s_r = tp_wave_bounds(wl, wr, eos2)
-    p_i = interfacial_pressure(wl, wr)
-    vl, phil = local_state_and_flux(wl, p_i, eos1, eos2)
-    vr, phir = local_state_and_flux(wr, p_i, eos1, eos2)
-    u_hll, s_m1, s_m2, rho2_bar = tp_hll_state(vl, vr, phil, phir, s_l, s_r)
-    return wl, wr, vl, vr, phil, phir, u_hll, s_l, s_m1, s_m2, s_r, rho2_bar, p_i
+    """The side batch of each face and its HLL fan: (w, v, phi, fan),
+    where both star states of ``fan`` are the HLL state and its face
+    fields are left for :func:`_tp_build_fan`."""
+    w, v, phi, p_i, s_l, s_r = _sides(wl, wr, eos1, eos2)
+    u_hll, s_m1, s_m2 = tp_hll_state(v[0], v[1], phi[0], phi[1], s_l, s_r)
+    return w, v, phi, TwoPhaseFan(None, None, None, p_i, s_l, s_m1, s_m2, s_r,
+                                  u_star_l=u_hll, u_star_r=u_hll)
+
+
+def _tp_build_fan(w, v, phi, fan):
+    """Fill in the face fields of ``fan`` from its star states: the F-flux
+    from the star flux of the face's side of the phase-1 contact, or a
+    side's own F-flux at a supersonic face."""
+    s_l, s_r = fan.s_l, fan.s_r
+    flux = _star_flux(fan.u_star_l, fan.u_star_r, *v, *phi,
+                      s_l, fan.s_m1, s_r)
+    a1, au1 = w[..., 0], phi[..., 0]  # phi slot 0 is alpha1 u1
+    # HLL-form face volume fraction, sampled in the supersonic branches
+    a1_face = (au1[1] - au1[0] + s_l * a1[0] - s_r * a1[1]) / (s_l - s_r)
+    _f_from_phi(flux, fan.p_i, a1_face)
+    # supersonic faces take a side's F-flux, built from its conserved
+    # state (no second EOS pass) and only when some face needs it
+    for k, sup in enumerate((s_l >= 0.0, s_r <= 0.0)):
+        if np.count_nonzero(sup):
+            a1_face = np.where(sup, a1[k], a1_face)
+            np.copyto(flux, _phys_flux_of(w[k], v[k]), where=sup[..., None])
+    # the face value of the alpha1-equation flux is the F-flux's slot 0
+    fan.f_flux, fan.alpha_face, fan.phi_alpha_face = flux, a1_face, flux[..., 0]
+    return fan
 
 
 def tp_hll_flux(wl, wr, eos1, eos2):
     """Pure two-phase HLL flux: both star states are the HLL state array."""
-    (wl, wr, vl, vr, phil, phir, u_hll,
-     s_l, s_m1, s_m2, s_r, rho2_bar, p_i) = _tp_fan_common(wl, wr, eos1, eos2)
-    return _tp_flux_from_fan(wl, wr, vl, vr, phil, phir, u_hll, u_hll,
-                             s_l, s_m1, s_m2, s_r, p_i)
+    return _tp_build_fan(*_tp_fan_common(wl, wr, eos1, eos2))
 
 
 def rsir_tp_flux(wl, wr, eos1, eos2, beta):
     """Two-phase internal-reconstruction flux with per-interface beta=0
     fallback when a reconstructed star state is inadmissible."""
     _check_beta(beta)
-    (wl, wr, vl, vr, phil, phir, u_hll,
-     s_l, s_m1, s_m2, s_r, rho2_bar, p_i) = _tp_fan_common(wl, wr, eos1, eos2)
-    u_star_l, u_star_r, bad = rsir_reconstruct(
-        u_hll, wl, wr, s_l, s_m1, s_m2, s_r, rho2_bar, p_i, beta, eos1, eos2)
-    n_fallback = int(np.count_nonzero(bad))
-    if n_fallback:
-        np.copyto(u_star_l, u_hll, where=bad[..., None])
-        np.copyto(u_star_r, u_hll, where=bad[..., None])
-    return _tp_flux_from_fan(wl, wr, vl, vr, phil, phir,
-                             u_star_l, u_star_r, s_l, s_m1, s_m2, s_r,
-                             p_i, n_fallback)
+    w, v, phi, fan = _tp_fan_common(wl, wr, eos1, eos2)
+    u_hll = fan.u_star_l
+    fan.u_star_l, fan.u_star_r, bad = rsir_reconstruct(fan, w[0], w[1], beta,
+                                                       eos1, eos2)
+    fan.n_fallback = int(np.count_nonzero(bad))
+    if fan.n_fallback:
+        np.copyto(fan.u_star_l, u_hll, where=bad[..., None])
+        np.copyto(fan.u_star_r, u_hll, where=bad[..., None])
+    return _tp_build_fan(w, v, phi, fan)
 
 
 def mixture_entropy(w, eos1, eos2):

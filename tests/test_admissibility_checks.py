@@ -23,9 +23,9 @@ def _tp_state(a1=0.5, p1=1e5, p2=1e5):
 def _hll_inputs(slot):
     """Local states and fluxes whose HLL state at S_L = -1, S_R = 1 is
     (vl + vr + phil - phir) / 2: -0.5 in ``slot``, 1 elsewhere."""
-    vl = np.ones(8)
+    vl = np.ones(7)
     vl[slot] = -2.0
-    return vl, np.ones(8), np.zeros(8), np.zeros(8), -1.0, 1.0
+    return vl, np.ones(7), np.zeros(7), np.zeros(7), -1.0, 1.0
 
 
 CASES = {
@@ -86,7 +86,7 @@ CASES = {
         lambda: twophase.tp_hll_state(*_hll_inputs(1)),
         PositivityError, "non-positive HLL apparent density for phase 1"),
     "HLL apparent density, phase 2": (
-        lambda: twophase.tp_hll_state(*_hll_inputs(5)),
+        lambda: twophase.tp_hll_state(*_hll_inputs(4)),
         PositivityError, "non-positive HLL apparent density for phase 2"),
 }
 
@@ -116,6 +116,25 @@ def test_interface_flux_error_names_the_first_offending_side():
     with np.errstate(divide="ignore"), pytest.raises(
             EosDomainError, match=r"non-positive density \(min 0\.0\)"):
         euler.rsir_flux(zero, -good, AIR, 1.0)
+
+
+def test_two_phase_flux_error_names_the_first_offending_side():
+    """The two-phase fluxes batch both sides too: the carriers' sound
+    speeds are checked first, then each side's alpha1, and a failure
+    quotes the side that a left-then-right evaluation meets first."""
+    good = np.array([_tp_state(), _tp_state()])
+    left, right = good.copy(), good.copy()
+    left[1, 6], right[0, 6] = -2e5, -5e5
+    a1_left, a1_right = good.copy(), good.copy()
+    a1_left[1, 0], a1_right[0, 0] = 1.0, 0.0
+    for flux in (twophase.rusanov_basic_flux, twophase.rusanov_local_flux,
+                 twophase.tp_hll_flux):
+        with pytest.raises(EosDomainError, match=r"c\^2 = -233333\.3"):
+            flux(left, right, WATER, AIR)
+        with pytest.raises(EosDomainError, match=r"c\^2 = -583333\.3"):
+            flux(good, right, WATER, AIR)
+        with pytest.raises(PositivityError, match=r"extrema \[0\.5, 1\.0\]"):
+            flux(a1_left, a1_right, WATER, AIR)
 
 
 @pytest.mark.parametrize("call", [

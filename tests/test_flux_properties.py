@@ -309,9 +309,8 @@ def test_rsir_tp_fallback_interfaces_carry_the_hll_star_state(drawn):
     wl, wr = drawn
     rec = twophase.rsir_tp_flux(wl, wr, *TP_EOS, 1.0)
     hll = twophase.tp_hll_flux(wl, wr, *TP_EOS)
-    u_star_l, u_star_r, bad = twophase.rsir_reconstruct(
-        hll.u_star_l, wl, wr, hll.s_l, hll.s_m1, hll.s_m2, hll.s_r,
-        hll.u_star_l[:, 5] / hll.u_star_l[:, 4], hll.p_i, 1.0, *TP_EOS)
+    u_star_l, u_star_r, bad = twophase.rsir_reconstruct(hll, wl, wr, 1.0,
+                                                        *TP_EOS)
     assert rec.n_fallback == np.count_nonzero(bad)
     for name in ("u_star_l", "u_star_r", "f_flux", "alpha_face",
                  "phi_alpha_face"):

@@ -4,6 +4,7 @@ import pytest
 from rsir1d import eos as _eos
 from rsir1d import relaxation as rlx
 from rsir1d import twophase as tp
+from rsir1d.euler import PositivityError
 
 WATER = _eos.preset("water-sg")
 AIR = _eos.preset("air-ideal")
@@ -19,6 +20,12 @@ def random_disequilibrium_states(rng, n):
     u2 = rng.uniform(-200.0, 200.0, size=n)
     w = np.stack([a1, rho1, u1, p1, rho2, u2, p2], axis=-1)
     return tp.tp_cons_from_prim(w, WATER, AIR)
+
+
+def relax(uc, eos1=WATER, eos2=AIR):
+    """pressure_relax_stiff of conserved states, from their recovery."""
+    return rlx.pressure_relax_stiff(uc, tp.tp_prim_from_cons(uc, eos1, eos2),
+                                    eos1, eos2)
 
 
 def bisect_equilibrium(uc, eos1, eos2):
@@ -54,7 +61,7 @@ def bisect_equilibrium(uc, eos1, eos2):
 def test_equilibrium_state_is_fixed_point():
     w = np.array([0.4, 1000.0, 10.0, 3e5, 2.0, 10.0, 3e5])
     uc = tp.tp_cons_from_prim(w, WATER, AIR)
-    out, rep = rlx.pressure_relax_stiff(uc, WATER, AIR)
+    out, rep, _ = relax(uc)
     assert rep.iterations == 0
     assert np.allclose(out, uc, rtol=1e-9)
     assert np.all(np.abs(rep.p_eq - 3e5) <= 1e-6 * 3e5)
@@ -62,7 +69,7 @@ def test_equilibrium_state_is_fixed_point():
 
 def test_pressures_equal_after_relaxation(rng):
     uc = random_disequilibrium_states(rng, 1000)
-    out, rep = rlx.pressure_relax_stiff(uc, WATER, AIR)
+    out, rep, _ = relax(uc)
     w = tp.tp_prim_from_cons(out, WATER, AIR)
     assert rep.residual <= 1e-8
     assert np.all(np.abs(w[:, 3] - w[:, 6])
@@ -71,7 +78,7 @@ def test_pressures_equal_after_relaxation(rng):
 
 def test_matches_bisection_oracle(rng):
     uc = random_disequilibrium_states(rng, 64)
-    out, rep = rlx.pressure_relax_stiff(uc, WATER, AIR)
+    out, rep, _ = relax(uc)
     for i in range(uc.shape[0]):
         p_ref = bisect_equilibrium(uc[i], WATER, AIR)
         assert rep.p_eq[i] == pytest.approx(p_ref, rel=1e-10, abs=1e-4)
@@ -79,7 +86,7 @@ def test_matches_bisection_oracle(rng):
 
 def test_conserved_quantities_untouched(rng):
     uc = random_disequilibrium_states(rng, 500)
-    out, rep = rlx.pressure_relax_stiff(uc, WATER, AIR)
+    out, rep, _ = relax(uc)
     # phase masses and momenta bitwise identical
     assert np.array_equal(out[:, [1, 2, 4, 5]], uc[:, [1, 2, 4, 5]])
     # mixture energy conserved to round-off
@@ -93,12 +100,35 @@ def test_conserved_quantities_untouched(rng):
 def test_scalar_and_grid_shapes():
     w = np.array([0.4, 1000.0, 0.0, 5e5, 2.0, 0.0, 1e5])
     uc = tp.tp_cons_from_prim(w, WATER, AIR)
-    out1, rep1 = rlx.pressure_relax_stiff(uc, WATER, AIR)
+    out1, rep1, _ = relax(uc)
     assert out1.shape == (7,)
     grid = np.tile(uc, (6, 1))
-    out2, rep2 = rlx.pressure_relax_stiff(grid, WATER, AIR)
+    out2, rep2, _ = relax(grid)
     assert out2.shape == (6, 7)
     assert np.allclose(out2, out1[None, :])
+
+
+def test_relaxed_primitives_are_the_recovery_of_the_relaxed_state(rng):
+    """The primitives returned with the relaxed state equal
+    tp_prim_from_cons of it bitwise, alpha1 clamp included, and a
+    recovered pressure at or below -p_inf raises as it does there."""
+    uc = random_disequilibrium_states(rng, 500)
+    # nearly pure water at 100 times the air pressure squeezes the air
+    # below the floor, so the relaxed alpha1 of these cells is clamped
+    uc[:3] = tp.tp_cons_from_prim(
+        [1.0 - 2e-8, 1000.0, 0.0, 1e7, 1.0, 0.0, 1e5], WATER, AIR)
+    before = uc.copy()
+    out, rep, w = relax(uc)
+    assert np.array_equal(uc, before)  # the input is not written to
+    assert np.all(out[:3, 0] > 1.0 - tp.ALPHA_FLOOR)
+    assert w.tobytes() == tp.tp_prim_from_cons(out, WATER, AIR).tobytes()
+    assert rep.residual <= 1e-8
+    uc = random_disequilibrium_states(rng, 5)
+    w = tp.tp_prim_from_cons(uc, WATER, AIR)
+    uc[2, 6] = -1e9  # the relaxed carrier energy is below -p_inf
+    with pytest.raises(PositivityError) as exc:
+        rlx.pressure_relax_stiff(uc, w, WATER, AIR)
+    assert str(exc.value).startswith("recovered phase pressure below -p_inf")
 
 
 def test_covolume_rejected():
@@ -106,7 +136,8 @@ def test_covolume_rejected():
     w = np.array([0.4, 1000.0, 0.0, 5e5, 2.0, 0.0, 1e5])
     uc = tp.tp_cons_from_prim(w, WATER, AIR)
     with pytest.raises(ValueError):
-        rlx.pressure_relax_stiff(uc, nasg, AIR)
+        rlx.pressure_relax_stiff(uc, tp.tp_prim_from_cons(uc, WATER, AIR),
+                                 nasg, AIR)
 
 
 def test_velocity_relax_decay_rate():

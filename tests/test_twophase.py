@@ -46,30 +46,24 @@ def test_interfacial_pressure_upwind_rule():
     assert tp.interfacial_pressure(wl, wr2) == 2.5e5  # tie: average
 
 
-def test_local_state_inserts_alpha2():
-    w = np.array([0.3, 1000.0, 10.0, 1e5, 1.0, 20.0, 1e5])
-    uc = tp.tp_cons_from_prim(w, WATER, AIR)
-    v, _ = tp.local_state_and_flux(w, 1e5, WATER, AIR)
-    assert v.shape == (8,)
-    assert v[4] == pytest.approx(0.7)
-    assert np.allclose(v[[0, 1, 2, 3]], uc[[0, 1, 2, 3]])
-    assert np.allclose(v[[5, 6, 7]], uc[[4, 5, 6]])
-
-
 def test_local_flux_reduces_to_phys_flux():
-    """Adding the frozen-p_i corrections to the 8-slot flux recovers the
-    7-slot flux of the plain formulation."""
+    """Adding the frozen-p_i corrections to the local-conservative flux
+    recovers the flux of the plain formulation."""
     w = np.array([0.3, 1000.0, 10.0, 2e5, 1.0, 20.0, 1e5])
     p_i = 2e5
-    _, phi = tp.local_state_and_flux(w, p_i, WATER, AIR)
+    _, phi = tp.tp_cons_and_local_flux(w, p_i, WATER, AIR)
     f = tp.phys_flux(w, WATER, AIR)
     a1, a2 = 0.3, 0.7
     assert phi[2] + p_i * a1 == pytest.approx(f[2], rel=1e-13)
     assert phi[3] + p_i * phi[0] == pytest.approx(f[3], rel=1e-13)
-    assert phi[6] + p_i * a2 == pytest.approx(f[5], rel=1e-13)
-    assert phi[7] - p_i * phi[0] == pytest.approx(f[6], rel=1e-13)
-    # the two volume-fraction fluxes cancel by saturation
-    assert phi[4] == -phi[0]
+    assert phi[5] + p_i * a2 == pytest.approx(f[5], rel=1e-13)
+    assert phi[6] - p_i * phi[0] == pytest.approx(f[6], rel=1e-13)
+    assert np.allclose(tp._f_from_phi(phi.copy(), p_i, a1), f, rtol=1e-13)
+    # alpha2 = 1 - alpha1 has the flux -phi[0], so by saturation the
+    # corrections cancel in the mixture energy and add up to p_i in the
+    # mixture momentum
+    assert phi[3] + phi[6] == pytest.approx(f[3] + f[6], rel=1e-13)
+    assert phi[2] + phi[5] + p_i == pytest.approx(f[2] + f[5], rel=1e-13)
 
 
 def test_wave_bounds_contain_eigenvalues(rng):
@@ -103,11 +97,12 @@ def test_beta_zero_is_tp_hll_bitwise(rng):
 
 def test_star_states_recombine_to_hll(rng):
     wl, wr = random_twophase_states(rng, 200, WATER, AIR, slip=0.1)
-    (wl, wr, vl, vr, phil, phir, u_hll,
-     s_l, s_m1, s_m2, s_r, rho2_bar, p_i) = tp._tp_fan_common(
-         wl, wr, WATER, AIR)
-    u_star_l, u_star_r, bad = tp.rsir_reconstruct(
-        u_hll, wl, wr, s_l, s_m1, s_m2, s_r, rho2_bar, p_i, 1.0, WATER, AIR)
+    w, _, _, fan = tp._tp_fan_common(wl, wr, WATER, AIR)
+    assert np.array_equal(w[0], wl) and np.array_equal(w[1], wr)
+    u_hll, s_l, s_m1, s_r = fan.u_star_l, fan.s_l, fan.s_m1, fan.s_r
+    assert fan.u_star_r is u_hll and u_hll.shape == wl.shape
+    u_star_l, u_star_r, bad = tp.rsir_reconstruct(fan, wl, wr, 1.0,
+                                                  WATER, AIR)
     om_l = ((s_m1 - s_l) / (s_r - s_l))[..., None]
     om_r = ((s_r - s_m1) / (s_r - s_l))[..., None]
     rec = om_r * u_star_r + om_l * u_star_l
@@ -117,17 +112,14 @@ def test_star_states_recombine_to_hll(rng):
 
 def test_psi_vanishes_at_beta_zero(rng):
     wl, wr = random_twophase_states(rng, 50, WATER, AIR)
-    (wl, wr, vl, vr, phil, phir, u_hll,
-     s_l, s_m1, s_m2, s_r, rho2_bar, p_i) = tp._tp_fan_common(
-         wl, wr, WATER, AIR)
+    _, _, _, fan = tp._tp_fan_common(wl, wr, WATER, AIR)
+    u_hll, s_l, s_m1, s_r = fan.u_star_l, fan.s_l, fan.s_m1, fan.s_r
     om_l = (s_m1 - s_l) / (s_r - s_l)
     om_r = (s_r - s_m1) / (s_r - s_l)
-    psi = tp._tp_psi(wl, wr, u_hll, s_m1, s_m2, rho2_bar, p_i, om_l, om_r,
-                     0.0, WATER, AIR)
+    psi = tp._tp_psi(fan, wl, wr, om_l, om_r, 0.0, WATER, AIR)
     assert psi.shape == u_hll.shape and np.all(psi == 0.0)
     # so both star states, their phase-1 energies included, are U_HLL
-    u_star_l, u_star_r, _ = tp.rsir_reconstruct(
-        u_hll, wl, wr, s_l, s_m1, s_m2, s_r, rho2_bar, p_i, 0.0, WATER, AIR)
+    u_star_l, u_star_r, _ = tp.rsir_reconstruct(fan, wl, wr, 0.0, WATER, AIR)
     for star in (u_star_l, u_star_r):
         assert np.array_equal(star, u_hll)
 
@@ -193,10 +185,11 @@ def test_mixture_entropy_finite(rng):
 
 
 @pytest.mark.parametrize("batch", [(), (2,)])
-def test_cons_and_local_flux_is_local_state_and_flux_without_alpha2(
-        rng, batch):
-    """The predictor's 7-slot pair equals the 8-slot local state and flux
-    less slot 4, bitwise, on component-major (n, 7) and (2, n, 7)."""
+def test_cons_and_local_flux_is_component_major(rng, batch):
+    """The conserved state and local flux of component-major (n, 7) and
+    (2, n, 7) primitives: the conserved state is tp_cons_from_prim's and
+    the flux at p_i = 0 is phys_flux's, bitwise, and each component of
+    both is one contiguous block."""
     n = 64
     states = np.stack([random_twophase_states(rng, n, WATER, AIR)[0]
                        for _ in range(2)])
@@ -204,12 +197,10 @@ def test_cons_and_local_flux_is_local_state_and_flux_without_alpha2(
     w[...] = states if batch else states[0]
     p_i = w[..., 3] * rng.uniform(0.5, 2.0, size=w.shape[:-1])
     uc, phi = tp.tp_cons_and_local_flux(w, p_i, WATER, AIR)
-    v8, phi8 = tp.local_state_and_flux(w, p_i, WATER, AIR)
-    keep = [0, 1, 2, 3, 5, 6, 7]
     assert uc.shape == phi.shape == batch + (n, 7)
-    assert np.array_equal(uc, v8[..., keep])
-    assert np.array_equal(phi, phi8[..., keep])
     assert np.array_equal(uc, tp.tp_cons_from_prim(w, WATER, AIR))
+    assert np.array_equal(tp.tp_cons_and_local_flux(w, 0.0, WATER, AIR)[1],
+                          tp.phys_flux(w, WATER, AIR))
     for j in range(7):
         assert uc[..., j].flags.c_contiguous
         assert phi[..., j].flags.c_contiguous
