@@ -92,11 +92,13 @@ def _cmd_compare(args):
 def _cmd_sweep(args):
     case = _load_case(args.case, args.set)
     values = args.values.split(",")
+    # every value is checked before the first run, as compare checks solvers
+    runs = [_cases.apply_overrides(case, [f"{args.param}={v}"])
+            for v in values]
     print(f"case {case.name}, sweeping {args.param}")
     print("value".ljust(14) + "steps".rjust(8) + "defect".rjust(13)
           + "wall[s]".rjust(10))
-    for v in values:
-        swept = _cases.apply_overrides(case, [f"{args.param}={v}"])
+    for v, swept in zip(values, runs):
         result = _driver.run(swept)
         m = result.manifest
         print(f"{v:<14s}{m['steps']:8d}"

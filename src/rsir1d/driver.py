@@ -71,28 +71,29 @@ def minmod(a, b):
     return np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), 0.0))
 
 
+# the interior cells that the ghost cells -2, -1, n and n+1 copy
+_GHOST_SOURCES = {kind: np.array(cells) for kind, cells in (
+    ("transmissive", (0, 0, -1, -1)), ("reflective", (1, 0, -1, -2)),
+    ("periodic", (-2, -1, 0, 1)))}
+
+
+def _ghosts(u_int, kind, velocity_slots):
+    """The ghost cells -2, -1, n and n+1 of the interior field ``u_int``;
+    a reflective wall negates their velocity slots."""
+    if kind not in _GHOST_SOURCES:
+        raise ValueError(f"unknown boundary kind {kind!r}")
+    g = u_int[_GHOST_SOURCES[kind]]
+    if kind == "reflective":
+        for s in velocity_slots:
+            g[:, s] *= -1.0
+    return g
+
+
 def apply_boundary(u_int, kind, velocity_slots):
     """Return the interior field extended by two ghost layers per side."""
-    n, ncomp = u_int.shape
-    ug = _euler._component_major(np.empty((ncomp, n + 2 * NGHOST)))
-    ug[NGHOST:-NGHOST] = u_int
-    if kind == "transmissive":
-        ug[0] = ug[1] = u_int[0]
-        ug[-1] = ug[-2] = u_int[-1]
-    elif kind == "reflective":
-        ug[1] = u_int[0]
-        ug[0] = u_int[1]
-        ug[-2] = u_int[-1]
-        ug[-1] = u_int[-2]
-        for s in velocity_slots:
-            ug[0:2, s] *= -1.0
-            ug[-2:, s] *= -1.0
-    elif kind == "periodic":
-        ug[0:2] = u_int[-2:]
-        ug[-2:] = u_int[0:2]
-    else:
-        raise ValueError(f"unknown boundary kind {kind!r}")
-    return ug
+    g = _ghosts(u_int, kind, velocity_slots)
+    return np.concatenate((g[:2], u_int, g[2:]), out=_euler._component_major(
+        np.empty((u_int.shape[1], len(u_int) + 2 * NGHOST))))
 
 
 def _nan_max(acc, x):
@@ -282,17 +283,14 @@ def _step(model, u, w, dt, dx, bc, first_order):
     n = len(w)
     half_lam = 0.5 * dt / dx
     fallbacks = 0
-    # faces [a, b) read cells a-2..b: for one block the ghost-filled mesh,
-    # else a view of w, padded at a mesh end from the end cells' ghost fill
-    fill = apply_boundary(w if n < _BLOCK_FACES else w[[0, 1, -2, -1]], bc,
-                          model.velocity_slots)
+    # faces [a, b) read cells a-2..b: a view of w, padded with the ghost
+    # cells where it touches a mesh end (the ghosted mesh for one block)
+    g = _ghosts(w, bc, model.velocity_slots)
     for a in range(0, n + 1, _BLOCK_FACES):
         b = min(a + _BLOCK_FACES, n + 1)
-        if n < _BLOCK_FACES:
-            cells = fill
-        elif a < 2 or b >= n:
+        if a < 2 or b >= n:
             cells = np.concatenate(
-                (fill[a:2], w[max(a - 2, 0):b + 1], fill[6:max(b + 7 - n, 6)]),
+                (g[a:2], w[max(a - 2, 0):b + 1], g[2:max(b + 3 - n, 2)]),
                 out=_euler._component_major(np.empty((w.shape[1], b - a + 3))))
         else:
             cells = w[a - 2:b + 1]

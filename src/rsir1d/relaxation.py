@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .euler import _component_major
-from .twophase import ALPHA_FLOOR, _check_pressures
+from . import twophase as _tp
 
 __all__ = [
     "RelaxationError",
@@ -95,8 +94,8 @@ def pressure_relax_stiff(uc, w, eos1, eos2):
     Imposing the saturation constraint yields a quadratic in p_eq; the
     admissible root is refined by bisection when the closed form is
     unusable.  Returns new arrays (relaxed state, RelaxReport, its
-    primitives); the primitives are tp_prim_from_cons of the relaxed
-    state, alpha1 clamp and p_k > -p_inf check included, bit for bit.
+    primitives); the primitives are :func:`twophase.tp_prim_from_cons` of
+    the relaxed state, so its alpha1 clamp and p_k > -p_inf check apply.
     """
     if eos1.b != 0.0 or eos2.b != 0.0:
         raise ValueError("pressure relaxation supports SG/ideal phases only")
@@ -119,27 +118,12 @@ def pressure_relax_stiff(uc, w, eos1, eos2):
     a1p = np.divide(A1 + B1 * p_eq, p_eq + pi1, out=out[:, 0])
     out[:, 3] -= p_eq * (a1p - a1)
     out[:, 6] -= p_eq * ((A2 + B2 * p_eq) / (p_eq + pi2) - a2)
-    del coeffs, A1, B1, A2, B2, a2  # free these before the recovery's rows
-
-    # the primitives, as tp_prim_from_cons recovers them from out; with
-    # b = 0 the EOS pressure is (gamma - 1) rho e - gamma p_inf
-    cols = np.empty((7,) + a1p.shape)  # one row per column
-    a1c = np.clip(a1p, ALPHA_FLOOR, 1.0 - ALPHA_FLOOR, out=cols[0])
-    np.divide(out[:, 1], a1c, out=cols[1])
-    np.divide(out[:, 4], np.subtract(1.0, a1c, out=cols[4]), out=cols[4])
-    e = np.empty(a1p.shape)
-    for k, eos in ((1, eos1), (4, eos2)):
-        rho, u, p = cols[k], cols[k + 1], cols[k + 2]
-        u[...] = w[:, k + 1]
-        np.divide(out[:, k + 2], out[:, k], out=e)
-        e -= np.multiply(np.multiply(0.5, u, out=p), u, out=p)
-        np.multiply(np.multiply(eos.gamma - 1.0, rho, out=p), e, out=p)
-        p -= eos.gamma * eos.p_inf
-    p1, p2 = cols[3], cols[6]
-    _check_pressures(p1, p2, eos1, eos2)
+    del coeffs, A1, B1, A2, B2, a2  # free these before the recovery
+    w_out = _tp.tp_prim_from_cons(out, eos1, eos2)
+    p1, p2 = w_out[:, 3], w_out[:, 6]
     # a clamped alpha1, not the relaxation, sets the pressures of its cells
     gap = np.abs(p1 - p2)
-    gap[a1c != a1p] = 0.0
+    gap[w_out[:, 0] != a1p] = 0.0
     residual = float(np.max(gap / (np.maximum(np.abs(p1), np.abs(p2))
                                    + 1e-300)))
     e_before = uc[:, 3] + uc[:, 6]
@@ -149,14 +133,13 @@ def pressure_relax_stiff(uc, w, eos1, eos2):
     report = RelaxReport(p_eq=p_eq.reshape(uc_in.shape[:-1]),
                          iterations=iters, residual=residual,
                          conservation_defect=defect)
-    return (out.reshape(uc_in.shape), report,
-            _component_major(cols).reshape(uc_in.shape))
+    return out.reshape(uc_in.shape), report, w_out.reshape(uc_in.shape)
 
 
 def _apply_velocity_update(uc, factor):
-    """Relax the velocity difference by ``factor``; interface velocity u1
-    means the dissipated kinetic energy heats the carrier phase."""
-    uc = np.asarray(uc, dtype=float)
+    """Relax the velocity difference of ``uc`` by ``factor`` in place and
+    return it; interface velocity u1 means the dissipated kinetic energy
+    heats the carrier phase."""
     m1, q1 = uc[..., 1], uc[..., 2]
     m2, q2 = uc[..., 4], uc[..., 5]
     u1 = q1 / m1
@@ -165,23 +148,23 @@ def _apply_velocity_update(uc, factor):
     du = (u2 - u1) * factor
     u1p = u_mix - m2 * du / (m1 + m2)
     u2p = u_mix + m1 * du / (m1 + m2)
-    out = np.copy(uc)
-    out[..., 2] = m1 * u1p
-    out[..., 5] = m2 * u2p
     # phase 1 stays on its internal-energy level; phase 2 takes the rest
+    en = uc[..., 3] + uc[..., 6]
     e1 = uc[..., 3] / m1 - 0.5 * u1 * u1
-    out[..., 3] = m1 * (e1 + 0.5 * u1p * u1p)
-    out[..., 6] = (uc[..., 3] + uc[..., 6]) - out[..., 3]
-    return out
+    uc[..., 2] = m1 * u1p
+    uc[..., 5] = m2 * u2p
+    uc[..., 3] = m1 * (e1 + 0.5 * u1p * u1p)
+    uc[..., 6] = en - uc[..., 3]
+    return uc
 
 
 def velocity_relax(uc, lam, dt):
     """Constant-coefficient drag: analytic exponential decay of u2 - u1."""
     if lam < 0.0:
         raise ValueError("drag coefficient lambda must be >= 0")
+    uc = np.array(uc, dtype=float, order="K")
     if lam == 0.0 or dt == 0.0:
-        return np.array(uc, dtype=float, order="K")
-    uc = np.asarray(uc, dtype=float)
+        return uc
     m1, m2 = uc[..., 1], uc[..., 4]
     factor = np.exp(-lam * dt * (1.0 / m1 + 1.0 / m2))
     return _apply_velocity_update(uc, factor)
@@ -226,7 +209,7 @@ def drag_clift_gauvin(uc, radius, mu2, dt):
         tau = 1.0 / (np.max(lam_eff * (1.0 / m1 + 1.0 / m2)) + 1e-300)
         sub_dt = min(remaining, 0.2 * tau)
         factor = np.exp(-lam_eff * sub_dt * (1.0 / m1 + 1.0 / m2))
-        uc = _apply_velocity_update(uc, factor)
+        _apply_velocity_update(uc, factor)
         remaining -= sub_dt
         steps += 1
     return uc

@@ -112,7 +112,8 @@ def alpha_clamps(uc):
 
 def tp_prim_from_cons(uc, eos1, eos2):
     """Recover primitives; alpha1 is clamped to [floor, 1-floor] (count
-    the clamps with :func:`alpha_clamps`)."""
+    the clamps with :func:`alpha_clamps`), and a phase pressure at or
+    below its -p_inf raises."""
     uc = np.asarray(uc, dtype=float)
     m1, m2 = uc[..., 1], uc[..., 4]
     if np.count_nonzero(m1 <= 0.0) or np.count_nonzero(m2 <= 0.0):
@@ -132,18 +133,13 @@ def tp_prim_from_cons(uc, eos1, eos2):
         np.divide(uc[..., k + 2], uc[..., k], out=e)
         e -= np.multiply(np.multiply(0.5, u, out=p), u, out=p)
         _eos.pressure(eos, rho, e, out=p)
-    _check_pressures(p1, p2, eos1, eos2)
-    return _component_major(cols)
-
-
-def _check_pressures(p1, p2, eos1, eos2):
-    """Raise unless each recovered phase pressure exceeds its -p_inf."""
     if (np.count_nonzero(p1 <= -eos1.p_inf)
             or np.count_nonzero(p2 <= -eos2.p_inf)):
         raise PositivityError(
             f"recovered phase pressure below -p_inf (min p1 "
             f"{float(np.min(p1))!r}, min p2 {float(np.min(p2))!r})"
         )
+    return _component_major(cols)
 
 
 def interfacial_pressure(wl, wr):

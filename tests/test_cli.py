@@ -85,6 +85,17 @@ def test_sweep_runs_each_value(capsys):
     assert len(lines) == 3
 
 
+def test_sweep_rejects_a_bad_value_before_any_run(capsys):
+    """A bad value anywhere in --values stops the sweep before the first
+    run: exit 2, one error line and no result row."""
+    code, out, err = run_cli(
+        ["sweep", "tp-shock-tube", "--param", "drag.model",
+         "--values", "constant,bogus", "--set", "mesh.n_cells=20"], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "constant" not in out
+
+
 def test_run_failure_is_one_error_line(tmp_path, capsys):
     code, _, err = run_cli(
         ["run", "water-nasg-transport", "--set", "solver=linde",

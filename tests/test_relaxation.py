@@ -131,6 +131,21 @@ def test_relaxed_primitives_are_the_recovery_of_the_relaxed_state(rng):
     assert str(exc.value).startswith("recovered phase pressure below -p_inf")
 
 
+def test_bisection_branch_matches_the_oracle():
+    """Air at 3 mPa beside water: the closed-form root fails the residual
+    check, so the cell is solved by bisection, and its pressure and
+    primitives are as exact as on the closed-form branch."""
+    w = np.array([0.7995322046405273, 2679.120966973448, -86.7459278781829,
+                  567349.4211209188, 5.340546317137792, -5.971697613955318,
+                  0.003227645137042819])
+    uc = tp.tp_cons_from_prim(w, WATER, AIR)
+    out, rep, w_out = relax(uc)
+    assert rep.iterations > 0
+    assert rep.p_eq == pytest.approx(bisect_equilibrium(uc, WATER, AIR),
+                                     rel=1e-10)
+    assert w_out.tobytes() == tp.tp_prim_from_cons(out, WATER, AIR).tobytes()
+
+
 def test_covolume_rejected():
     nasg = _eos.preset("water-nasg")
     w = np.array([0.4, 1000.0, 0.0, 5e5, 2.0, 0.0, 1e5])
@@ -197,6 +212,21 @@ def test_drag_reduces_slip_and_conserves(rng):
     assert 0.0 < wn[0, 5] - wn[0, 2] < 150.0
     assert np.allclose(out[:, 2] + out[:, 5], uc[:, 2] + uc[:, 5], rtol=1e-12)
     assert np.allclose(out[:, 3] + out[:, 6], uc[:, 3] + uc[:, 6], rtol=1e-12)
+
+
+@pytest.mark.parametrize("drag", [
+    lambda uc: rlx.velocity_relax(uc, 12.0, 1e-3),
+    lambda uc: rlx.velocity_relax(uc, 0.0, 1e-3),
+    lambda uc: rlx.drag_clift_gauvin(uc, radius=1e-4, mu2=1.8e-5, dt=1e-3)],
+    ids=["constant", "constant-zero", "clift-gauvin"])
+def test_drag_returns_a_new_state_and_leaves_its_input(rng, drag):
+    """Each drag call copies its input once; its sub-steps then update
+    that copy in place."""
+    uc = random_disequilibrium_states(rng, 50)
+    before = uc.copy()
+    out = drag(uc)
+    assert not np.shares_memory(out, uc)
+    assert np.array_equal(uc, before)
 
 
 def test_drag_parameter_validation():
