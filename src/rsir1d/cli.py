@@ -40,8 +40,8 @@ def _load_case(spec_arg, overrides):
 
 def _cmd_run(args):
     case = _load_case(args.case, args.set)
+    os.makedirs(args.out, exist_ok=True)  # an unusable --out fails first
     result = _driver.run(case)
-    os.makedirs(args.out, exist_ok=True)
     csv_paths = []
     for t, w in result.snapshots:
         path = os.path.join(args.out, f"{case.name}-t{t:.6e}.csv")
@@ -151,7 +151,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (_cases.ConfigError, KeyError, FileNotFoundError) as err:
+    except (_cases.ConfigError, KeyError, OSError) as err:
         msg = err.args[0] if isinstance(err, KeyError) else err
         print(f"error: {msg}", file=sys.stderr)
         return 2

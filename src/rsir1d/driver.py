@@ -125,7 +125,15 @@ class _Model:
     face_fields: tuple = ()   # flux-record fields that ``increment`` reads
     increment: object = None  # (out, w, face fields, dt, dx): H-terms
     clamps: object = None     # conserved -> number of volume-fraction clamps
-    sources: object = None    # (u, w, dt) -> (u, w, RelaxReport|None)
+    sources: object = None    # ([u, w], dt) -> (u, w, RelaxReport|None)
+    scratch: dict = None      # the step's reused batch arrays, by role
+
+
+def _scratch(case):
+    """A per-run store for the step's batch arrays if the mesh is one block
+    of faces, else None: held past their block, they would add to the
+    memory peak of a large mesh."""
+    return {} if case.n_cells + 1 <= _BLOCK_FACES else None
 
 
 def _euler_flux_fn(solver, eos, beta):
@@ -152,31 +160,31 @@ def _euler_model(case):
     return _Model(
         velocity_slots=(1,),
         to_cons=lambda w: _euler.cons_from_prim(w, eos),
-        to_prim=lambda u: _euler.prim_from_cons(u, eos),
-        edge=lambda we, w: _euler.cons_and_flux(we, eos),
+        to_prim=lambda u, out=None: _euler.prim_from_cons(u, eos, out),
+        edge=lambda we, w, out: _euler.cons_and_flux(we, eos, out),
         flux=_euler_flux_fn(case.solver, eos, case.beta),
-        max_speed=max_speed, totals=lambda s: s)
+        max_speed=max_speed, totals=lambda s: s, scratch=_scratch(case))
 
 
-def _tp_flux_fn(solver, eos1, eos2, beta):
-    if solver == "rusanov-basic":
-        return lambda wl, wr: _tp.rusanov_basic_flux(wl, wr, eos1, eos2)
-    if solver == "rusanov-local":
-        return lambda wl, wr: _tp.rusanov_local_flux(wl, wr, eos1, eos2)
-    if solver == "hll-tp":
-        return lambda wl, wr: _tp.tp_hll_flux(wl, wr, eos1, eos2)
+def _tp_flux_fn(solver, eos1, eos2, beta, scratch):
     if solver == "rsir-tp":
-        return lambda wl, wr: _tp.rsir_tp_flux(wl, wr, eos1, eos2, beta)
-    raise ValueError(f"unknown two-phase solver {solver!r}")
+        return lambda wl, wr: _tp.rsir_tp_flux(wl, wr, eos1, eos2, beta,
+                                               scratch)
+    flux = {"rusanov-basic": _tp.rusanov_basic_flux, "hll-tp": _tp.tp_hll_flux,
+            "rusanov-local": _tp.rusanov_local_flux}.get(solver)
+    if flux is None:
+        raise ValueError(f"unknown two-phase solver {solver!r}")
+    return lambda wl, wr: flux(wl, wr, eos1, eos2, scratch)
 
 
 def _tp_model(case):
     eos1, eos2 = case.eos1, case.eos2
+    scratch = _scratch(case)
 
-    def edge(we, w):
+    def edge(we, w, out):
         # predictor on the locally conservative flux with the cell's own
         # phase-1 pressure as frozen interfacial pressure
-        return _tp.tp_cons_and_local_flux(we, w[..., 3], eos1, eos2)
+        return _tp.tp_cons_and_local_flux(we, w[..., 3], eos1, eos2, out)
 
     def max_speed(w):
         c2 = _eos.sound_speed(eos2, w[..., 4], w[..., 6])
@@ -197,15 +205,18 @@ def _tp_model(case):
             out[:, gain] += h
             out[:, loss] -= h
 
-    def sources(u, w, dt):
-        # drag changes the velocities, so its state is recovered once;
-        # relaxation takes primitives and returns the relaxed ones
-        if case.drag_model == "constant" and case.drag_lambda > 0.0:
-            u = _relax.velocity_relax(u, case.drag_lambda, dt)
-        elif case.drag_model == "clift-gauvin":
-            u = _relax.drag_clift_gauvin(u, case.drag_radius, case.drag_mu2,
-                                         dt)
+    def sources(state, dt):
+        # [u, w] is handed over, so each is freed once replaced; drag's
+        # state is recovered once, relaxation returns its own primitives
+        u, w = state
+        state.clear()
         if case.drag_model != "none":
+            w = None
+            if case.drag_model == "clift-gauvin":
+                u = _relax.drag_clift_gauvin(u, case.drag_radius,
+                                             case.drag_mu2, dt)
+            elif case.drag_lambda > 0.0:
+                u = _relax.velocity_relax(u, case.drag_lambda, dt)
             w = _tp.tp_prim_from_cons(u, eos1, eos2)
         report = None
         if case.pressure_relax:
@@ -215,13 +226,14 @@ def _tp_model(case):
     return _Model(
         velocity_slots=(2, 5),
         to_cons=lambda w: _tp.tp_cons_from_prim(w, eos1, eos2),
-        to_prim=lambda u: _tp.tp_prim_from_cons(u, eos1, eos2),
-        edge=edge, flux=_tp_flux_fn(case.solver, eos1, eos2, case.beta),
+        to_prim=lambda u, out=None: _tp.tp_prim_from_cons(u, eos1, eos2, out),
+        edge=edge,
+        flux=_tp_flux_fn(case.solver, eos1, eos2, case.beta, scratch),
         max_speed=max_speed, totals=totals,
         face_fields=("alpha_face", "phi_alpha_face"), increment=increment,
         clamps=_tp.alpha_clamps,
         sources=sources if case.pressure_relax or case.drag_model != "none"
-        else None)
+        else None, scratch=scratch)
 
 
 # ---------------------------------------------------------------------------
@@ -231,19 +243,22 @@ def _tp_model(case):
 def _predict(model, wg, half_lam):
     """Minmod-limited edge states (wm, wp) of the cells 1..n+2 of ``wg``,
     advanced by half a step with the model's predictor flux; both edges
-    go through ``edge`` and ``to_prim`` as one (2, n+2, k) batch."""
+    go through ``edge`` and ``to_prim`` as one (2, n+2, k) batch, in the
+    model's store for a one-block step."""
     d = wg[1:] - wg[:-1]
     half = minmod(d[:-1], d[1:])
     half *= 0.5
     wc = wg[1:-1]
-    we = _euler._component_major(np.empty((wc.shape[-1], 2) + wc.shape[:-1]))
+    we, ue, fe, w_edge = (
+        _euler._buffer(model.scratch, role, (2,) + wc.shape)
+        for role in ("edges", "edge states", "edge fluxes", "edge prims"))
     np.subtract(wc, half, out=we[0])
     np.add(wc, half, out=we[1])
-    ue, fe = model.edge(we, wc)
+    ue, fe = model.edge(we, wc, (ue, fe))
     dfl = np.subtract(fe[1], fe[0], out=fe[0])
     dfl *= half_lam
     ue -= dfl
-    we = model.to_prim(ue)
+    we = model.to_prim(ue, w_edge)
     return we[0], we[1]
 
 
@@ -367,7 +382,9 @@ def run(case):
             n_fallback += fallbacks
             n_clamp += clamps
             if model.sources is not None:
-                u, w, report = model.sources(u, w, dt)
+                state = [u, w]
+                del u, w  # the sources free each array once it is replaced
+                u, w, report = model.sources(state, dt)
                 if report is not None:
                     n_bisect += report.iterations > 0
                     max_residual = _nan_max(max_residual, report.residual)

@@ -70,18 +70,36 @@ def _component_major(a):
     return a.T if a.ndim == 2 else a.transpose(*range(1, a.ndim), 0)
 
 
+def _rows(out, shape):
+    """The component rows, shape (k,) + shape[:-1], of ``out`` or, if it
+    is None, of a new component-major array of ``shape`` = (..., k)."""
+    if out is None:
+        return np.empty(shape[-1:] + shape[:-1])
+    return out.T if out.ndim == 2 else out.transpose(-1, *range(out.ndim - 1))
+
+
+def _buffer(scratch, role, shape):
+    """A component-major array of ``shape``: a new one without a store, else
+    the one that the per-run store ``scratch`` keeps for ``role``."""
+    if scratch is None:
+        return _component_major(_rows(None, shape))
+    if (role, shape) not in scratch:
+        scratch[role, shape] = _buffer(None, role, shape)
+    return scratch[role, shape]
+
+
 def _stack_last(columns):
     """Stack equally shaped arrays along a new trailing axis."""
     return _component_major(np.array(columns, dtype=float))
 
 
-def cons_from_prim(w, eos):
-    """(rho, u, p) -> (rho, rho u, rho E) with E = e + u^2/2."""
+def cons_from_prim(w, eos, out=None):
+    """(rho, u, p) -> (rho, rho u, rho E) with E = e + u^2/2, into ``out``."""
     w = np.asarray(w, dtype=float)
     rho, u, p = w[..., 0], w[..., 1], w[..., 2]
     if np.count_nonzero(rho <= 0.0):
         raise EosDomainError(f"non-positive density (min {float(np.min(rho))!r})")
-    cols = np.empty(w.shape[-1:] + w.shape[:-1])  # one row per column
+    cols = _rows(out, w.shape)  # one row per column
     cols[0] = rho
     np.multiply(rho, u, out=cols[1, ...])
     etot = np.multiply(0.5, u, out=cols[2, ...])
@@ -91,13 +109,13 @@ def cons_from_prim(w, eos):
     return _component_major(cols)
 
 
-def prim_from_cons(uc, eos):
-    """Inverse of :func:`cons_from_prim`."""
+def prim_from_cons(uc, eos, out=None):
+    """Inverse of :func:`cons_from_prim`, into ``out``."""
     uc = np.asarray(uc, dtype=float)
     rho = uc[..., 0]
     if np.count_nonzero(rho <= 0.0):
         raise EosDomainError(f"non-positive density (min {float(np.min(rho))!r})")
-    cols = np.empty(uc.shape[-1:] + uc.shape[:-1])
+    cols = _rows(out, uc.shape)
     cols[0] = rho
     u, p = np.divide(uc[..., 1], rho, out=cols[1, ...]), cols[2, ...]
     e = uc[..., 2] / rho
@@ -115,13 +133,13 @@ def physical_flux(w, eos):
     return cons_and_flux(w, eos)[1]
 
 
-def cons_and_flux(w, eos):
+def cons_and_flux(w, eos, out=(None, None)):
     """(:func:`cons_from_prim`, :func:`physical_flux`) of primitive states,
-    sharing one internal-energy evaluation."""
-    uc = cons_from_prim(w, eos)
+    into the pair ``out``, sharing one internal-energy evaluation."""
+    uc = cons_from_prim(w, eos, out[0])
     w = np.asarray(w, dtype=float)
     u, p, ru, etot = w[..., 1], w[..., 2], uc[..., 1], uc[..., 2]
-    cols = np.empty(uc.shape[-1:] + uc.shape[:-1])
+    cols = _rows(out[1], uc.shape)
     cols[0] = ru
     np.add(np.multiply(ru, u, out=cols[1, ...]), p, out=cols[1, ...])
     np.multiply(np.add(etot, p, out=cols[2, ...]), u, out=cols[2, ...])
@@ -142,15 +160,15 @@ def davis_wave_speeds(wl, wr, eos):
     return s_l, s_r
 
 
-def hll_state(ul, ur, fl, fr, s_l, s_r):
-    """Single intermediate state from integral consistency:
+def hll_state(ul, ur, fl, fr, s_l, s_r, out=None):
+    """Single intermediate state from integral consistency, into ``out``:
 
         U*_HLL = (F_R - F_L + S_L U_L - S_R U_R) / (S_L - S_R)
     """
     den = np.subtract(s_l, s_r, dtype=float)
     if np.count_nonzero(den >= 0.0):  # S_R - S_L <= 0, negated exactly
         raise DegenerateFanError("degenerate fan: S_L >= S_R")
-    u_hll = np.subtract(fr, fl, dtype=float)
+    u_hll = np.subtract(fr, fl, dtype=float, out=out)
     u_hll += np.asarray(s_l, float)[..., None] * np.asarray(ul, float)
     u_hll -= np.asarray(s_r, float)[..., None] * np.asarray(ur, float)
     u_hll /= den[..., None]
@@ -180,12 +198,13 @@ def rusanov_flux(wl, wr, eos):
     return 0.5 * (fr + fl - s * (ur - ul))
 
 
-def _star_flux(u_star_l, u_star_r, ul, ur, fl, fr, s_l, s_m, s_r):
+def _star_flux(u_star_l, u_star_r, ul, ur, fl, fr, s_l, s_m, s_r, out=None):
     """Star flux F + S (U* - U) of the side of S_M each face is on (the
-    left side at S_M = 0), selecting that side's arrays first."""
+    left side at S_M = 0), selecting that side's arrays first; into ``out``."""
     left = (s_m >= 0.0)[..., None]
-    out = np.where(left, u_star_l, u_star_r)
-    out -= np.where(left, ul, ur)
+    star = np.where(left, u_star_l, u_star_r)
+    out = np.subtract(star, np.where(left, ul, ur),
+                      out=star if out is None else out)
     out *= np.where(left[..., 0], s_l, s_r)[..., None]
     out += np.where(left, fl, fr)
     return out

@@ -22,8 +22,8 @@ import numpy as np
 from . import eos as _eos
 from . import euler as _euler
 from .eos import EosDomainError
-from .euler import (PositivityError, _check_beta, _component_major,
-                    _star_flux, _weights)
+from .euler import (PositivityError, _buffer, _check_beta, _component_major,
+                    _rows, _star_flux, _weights)
 
 __all__ = [
     "ALPHA_FLOOR",
@@ -80,7 +80,8 @@ class TwoPhaseFan(TwoPhaseFaceFlux):
     n_fallback: int = 0
 
 
-def tp_cons_from_prim(w, eos1, eos2):
+def tp_cons_from_prim(w, eos1, eos2, out=None):
+    """Conserved states of primitive states ``w``, into ``out``."""
     w = np.asarray(w, dtype=float)
     a1 = w[..., 0]
     if np.count_nonzero((a1 <= 0.0) | (a1 >= 1.0)):
@@ -88,7 +89,7 @@ def tp_cons_from_prim(w, eos1, eos2):
             f"alpha1 must lie strictly inside (0,1), got extrema "
             f"[{float(np.min(a1))!r}, {float(np.max(a1))!r}]"
         )
-    cols = np.empty(w.shape[-1:] + w.shape[:-1])  # one row per column
+    cols = _rows(out, w.shape)  # one row per column
     cols[0] = a1
     np.multiply(a1, w[..., 1], out=cols[1, ...])
     np.multiply(np.subtract(1.0, a1, out=cols[4, ...]), w[..., 4],
@@ -110,10 +111,10 @@ def alpha_clamps(uc):
     return int(np.count_nonzero((a1 < ALPHA_FLOOR) | (a1 > 1.0 - ALPHA_FLOOR)))
 
 
-def tp_prim_from_cons(uc, eos1, eos2):
-    """Recover primitives; alpha1 is clamped to [floor, 1-floor] (count
-    the clamps with :func:`alpha_clamps`), and a phase pressure at or
-    below its -p_inf raises."""
+def tp_prim_from_cons(uc, eos1, eos2, out=None):
+    """Recover primitives into ``out``; alpha1 is clamped to [floor,
+    1-floor] (count the clamps with :func:`alpha_clamps`), and a phase
+    pressure at or below its -p_inf raises."""
     uc = np.asarray(uc, dtype=float)
     m1, m2 = uc[..., 1], uc[..., 4]
     if np.count_nonzero(m1 <= 0.0) or np.count_nonzero(m2 <= 0.0):
@@ -121,7 +122,7 @@ def tp_prim_from_cons(uc, eos1, eos2):
             f"non-positive apparent density (min phase1 "
             f"{float(np.min(m1))!r}, phase2 {float(np.min(m2))!r})"
         )
-    cols = np.empty(uc.shape[-1:] + uc.shape[:-1])  # one row per column
+    cols = _rows(out, uc.shape)  # one row per column
     a1, rho1, u1, p1, rho2, u2, p2 = (cols[k, ...] for k in range(7))
     np.clip(uc[..., 0], ALPHA_FLOOR, 1.0 - ALPHA_FLOOR, out=a1)
     np.divide(m1, a1, out=rho1)
@@ -153,15 +154,15 @@ def interfacial_pressure(wl, wr):
                     np.where(a1l < a1r, p1r, 0.5 * (p1l + p1r)))
 
 
-def tp_cons_and_local_flux(w, p_i, eos1, eos2):
+def tp_cons_and_local_flux(w, p_i, eos1, eos2, out=(None, None)):
     """Conserved state of primitive states ``w`` and the flux ``phi`` of
-    the locally conservative system for frozen ``p_i``, sharing one
-    internal-energy evaluation per phase."""
-    uc = tp_cons_from_prim(w, eos1, eos2)
+    the locally conservative system for frozen ``p_i``, into the pair
+    ``out``, sharing one internal-energy evaluation per phase."""
+    uc = tp_cons_from_prim(w, eos1, eos2, out[0])
     w = np.asarray(w, dtype=float)
     a1, u1, p1, u2, p2 = (w[..., k] for k in (0, 2, 3, 5, 6))
     _, _, q1, en1, _, q2, en2 = (uc[..., k] for k in range(7))
-    cols = np.empty(uc.shape[-1:] + uc.shape[:-1])
+    cols = _rows(out[1], uc.shape)
     f0, f1, f2, f3, f4, f5, f6 = (cols[k, ...] for k in range(7))
     np.multiply(a1, u1, out=f0)
     f1[...] = q1
@@ -217,19 +218,22 @@ def rusanov_speed(wl, wr, eos2):
     return np.maximum(-s_l, s_r)
 
 
-def _sides(wl, wr, eos1, eos2, local=True):
+def _sides(wl, wr, eos1, eos2, scratch, local=True):
     """Both sides as one batch: (primitives, conserved states, fluxes ``phi``
-    for p_i, or F if not ``local``) of shape (2, ..., 7), p_i, S_L, S_R."""
-    w = _component_major(np.empty((7, 2) + np.broadcast(wl, wr).shape[:-1]))
+    for p_i, or F if not ``local``) of shape (2, ..., 7), p_i, S_L, S_R;
+    the batch arrays come from the store ``scratch``, F does not."""
+    shape = (2,) + np.broadcast(wl, wr).shape
+    w = _buffer(scratch, "sides", shape)
     w[0], w[1] = wl, wr
     p_i = interfacial_pressure(w[0], w[1])
+    uc = _buffer(scratch, "side states", shape)
     try:
         s_l, s_r = _bounds(w, eos2)
         if local:
-            uc, f = tp_cons_and_local_flux(w, p_i, eos1, eos2)
+            f = _buffer(scratch, "side fluxes", shape)
+            uc, f = tp_cons_and_local_flux(w, p_i, eos1, eos2, (uc, f))
         else:
-            uc = tp_cons_from_prim(w, eos1, eos2)
-            f = _phys_flux_of(w, uc)
+            f = _phys_flux_of(w, tp_cons_from_prim(w, eos1, eos2, uc))
     except (EosDomainError, PositivityError):  # quote the first offending side
         for side in w:
             _eos.sound_speed(eos2, side[..., 4], side[..., 6])
@@ -239,10 +243,10 @@ def _sides(wl, wr, eos1, eos2, local=True):
     return w, uc, f, p_i, s_l, s_r
 
 
-def rusanov_basic_flux(wl, wr, eos1, eos2):
+def rusanov_basic_flux(wl, wr, eos1, eos2, scratch=None):
     """Rusanov flux on the non-conservative form; pairs with arithmetic
-    face averages in the H-terms."""
-    w, uc, f, p_i, s_l, s_r = _sides(wl, wr, eos1, eos2, local=False)
+    face averages in the H-terms.  Its side batch comes from ``scratch``."""
+    w, uc, f, p_i, s_l, s_r = _sides(wl, wr, eos1, eos2, scratch, local=False)
     s = np.maximum(-s_l, s_r)[..., None]
     flux = 0.5 * (f[1] + f[0] - s * (uc[1] - uc[0]))
     a1, au1 = w[..., 0], f[..., 0]
@@ -260,11 +264,11 @@ def _f_from_phi(phi, p_i, a1_face):
     return phi
 
 
-def rusanov_local_flux(wl, wr, eos1, eos2):
+def rusanov_local_flux(wl, wr, eos1, eos2, scratch=None):
     """Rusanov flux built on the locally conservative system; the F-flux
     of the non-conservative form is recovered by adding the frozen-p_i
-    corrections."""
-    w, v, phi, p_i, s_l, s_r = _sides(wl, wr, eos1, eos2)
+    corrections.  Its side batch comes from ``scratch``."""
+    w, v, phi, p_i, s_l, s_r = _sides(wl, wr, eos1, eos2, scratch)
     s = np.maximum(-s_l, s_r)
     phi_star = 0.5 * (phi[1] + phi[0] - s[..., None] * (v[1] - v[0]))
     # face volume fraction from the Rusanov intermediate state
@@ -275,9 +279,9 @@ def rusanov_local_flux(wl, wr, eos1, eos2):
                             phi_alpha_face=f[..., 0], p_i=p_i)
 
 
-def tp_hll_state(vl, vr, phil, phir, s_l, s_r):
-    """(HLL state of the local conservative system, S_M1, S_M2)."""
-    u_hll = _euler.hll_state(vl, vr, phil, phir, s_l, s_r)
+def tp_hll_state(vl, vr, phil, phir, s_l, s_r, out=None):
+    """(HLL state of the local system, into ``out``, S_M1, S_M2)."""
+    u_hll = _euler.hll_state(vl, vr, phil, phir, s_l, s_r, out)
     for slot, name in ((1, "phase 1"), (4, "phase 2")):
         if np.count_nonzero(u_hll[..., slot] <= 0.0):
             raise PositivityError(
@@ -285,10 +289,10 @@ def tp_hll_state(vl, vr, phil, phir, s_l, s_r):
     return u_hll, u_hll[..., 2] / u_hll[..., 1], u_hll[..., 5] / u_hll[..., 4]
 
 
-def _tp_psi(fan, wl, wr, om_l, om_r, beta, eos1, eos2):
+def _tp_psi(fan, wl, wr, om_l, om_r, beta, eos1, eos2, scratch=None):
     """Jump vector psi across the phase-1 contact wave of the HLL fan
-    ``fan``; its energy slot 3 uses the star masses u_hll[1] -/+ om_r/om_l
-    psi[1]."""
+    ``fan``, from the store ``scratch``; its energy slot 3 uses the star
+    masses u_hll[1] -/+ om_r/om_l psi[1]."""
     u_hll, s_m1, s_m2, p_i = fan.u_star_l, fan.s_m1, fan.s_m2, fan.p_i
     a1l, a1r = wl[..., 0], wr[..., 0]
     m1l = a1l * wl[..., 1]
@@ -297,7 +301,7 @@ def _tp_psi(fan, wl, wr, om_l, om_r, beta, eos1, eos2):
     d_m1 = beta * (m1r - m1l)
     g1 = eos1.gamma
     g2 = eos2.gamma
-    psi = _component_major(np.empty((7,) + np.broadcast(a1l, a1r).shape))
+    psi = _buffer(scratch, "psi", np.broadcast(a1l, a1r).shape + (7,))
     psi[..., 0] = d_a1
     psi[..., 1] = d_m1
     psi[..., 2] = d_m1 * s_m1
@@ -324,20 +328,26 @@ def _tp_psi(fan, wl, wr, om_l, om_r, beta, eos1, eos2):
     return psi
 
 
-def rsir_reconstruct(fan, wl, wr, beta, eos1, eos2):
+def rsir_reconstruct(fan, wl, wr, beta, eos1, eos2, scratch=None):
     """Split the HLL state of ``fan``, an HLL fan such as :func:`tp_hll_flux`
     returns, into two star states using the phase-1 contact jump
     conditions (mass/momentum first, then energy) and the prolonged
-    carrier-density closure for phase 2.
+    carrier-density closure for phase 2.  psi and the star states come
+    from the store ``scratch``.
 
     Returns (u_star_l, u_star_r, bad) where ``bad`` flags interfaces whose
     inadmissible reconstruction the caller's beta=0 fallback changes.
     """
     u_hll = fan.u_star_l
     om_l, om_r = _weights(fan.s_l, fan.s_m1, fan.s_r)
-    psi = _tp_psi(fan, wl, wr, om_l, om_r, beta, eos1, eos2)
-    u_star_l = u_hll - om_r[..., None] * psi
-    u_star_r = u_hll + om_l[..., None] * psi
+    psi = _tp_psi(fan, wl, wr, om_l, om_r, beta, eos1, eos2, scratch)
+    shape = np.broadcast(u_hll, psi).shape
+    u_star_l, u_star_r = (_buffer(scratch, role, shape)
+                          for role in ("star left", "star right"))
+    np.subtract(u_hll, np.multiply(om_r[..., None], psi, out=u_star_l),
+                out=u_star_l)
+    np.add(u_hll, np.multiply(om_l[..., None], psi, out=u_star_r),
+           out=u_star_r)
     bad = np.zeros(np.shape(fan.s_m1), dtype=bool)
     for star in (u_star_l, u_star_r):  # alpha2 = 1 - alpha1 passes with it
         bad |= (star[..., 0] < ALPHA_FLOOR) | (star[..., 0] > 1.0 - ALPHA_FLOOR)
@@ -347,23 +357,24 @@ def rsir_reconstruct(fan, wl, wr, beta, eos1, eos2):
     return u_star_l, u_star_r, bad
 
 
-def _tp_fan_common(wl, wr, eos1, eos2):
+def _tp_fan_common(wl, wr, eos1, eos2, scratch=None):
     """The side batch of each face and its HLL fan: (w, v, phi, fan),
     where both star states of ``fan`` are the HLL state and its face
     fields are left for :func:`_tp_build_fan`."""
-    w, v, phi, p_i, s_l, s_r = _sides(wl, wr, eos1, eos2)
-    u_hll, s_m1, s_m2 = tp_hll_state(v[0], v[1], phi[0], phi[1], s_l, s_r)
+    w, v, phi, p_i, s_l, s_r = _sides(wl, wr, eos1, eos2, scratch)
+    u_hll, s_m1, s_m2 = tp_hll_state(v[0], v[1], phi[0], phi[1], s_l, s_r,
+                                     _buffer(scratch, "u_hll", v.shape[1:]))
     return w, v, phi, TwoPhaseFan(None, None, None, p_i, s_l, s_m1, s_m2, s_r,
                                   u_star_l=u_hll, u_star_r=u_hll)
 
 
-def _tp_build_fan(w, v, phi, fan):
+def _tp_build_fan(w, v, phi, fan, scratch):
     """Fill in the face fields of ``fan`` from its star states: the F-flux
     from the star flux of the face's side of the phase-1 contact, or a
     side's own F-flux at a supersonic face."""
     s_l, s_r = fan.s_l, fan.s_r
-    flux = _star_flux(fan.u_star_l, fan.u_star_r, *v, *phi,
-                      s_l, fan.s_m1, s_r)
+    flux = _star_flux(fan.u_star_l, fan.u_star_r, *v, *phi, s_l, fan.s_m1,
+                      s_r, _buffer(scratch, "star flux", v.shape[1:]))
     a1, au1 = w[..., 0], phi[..., 0]  # phi slot 0 is alpha1 u1
     # HLL-form face volume fraction, sampled in the supersonic branches
     a1_face = (au1[1] - au1[0] + s_l * a1[0] - s_r * a1[1]) / (s_l - s_r)
@@ -379,24 +390,27 @@ def _tp_build_fan(w, v, phi, fan):
     return fan
 
 
-def tp_hll_flux(wl, wr, eos1, eos2):
-    """Pure two-phase HLL flux: both star states are the HLL state array."""
-    return _tp_build_fan(*_tp_fan_common(wl, wr, eos1, eos2))
+def tp_hll_flux(wl, wr, eos1, eos2, scratch=None):
+    """Pure two-phase HLL flux: both star states are the HLL state array.
+    Its batch arrays come from the store ``scratch``, if one is given."""
+    return _tp_build_fan(*_tp_fan_common(wl, wr, eos1, eos2, scratch),
+                         scratch)
 
 
-def rsir_tp_flux(wl, wr, eos1, eos2, beta):
+def rsir_tp_flux(wl, wr, eos1, eos2, beta, scratch=None):
     """Two-phase internal-reconstruction flux with per-interface beta=0
-    fallback when a reconstructed star state is inadmissible."""
+    fallback when a reconstructed star state is inadmissible.  Its batch
+    arrays come from the store ``scratch``, if one is given."""
     _check_beta(beta)
-    w, v, phi, fan = _tp_fan_common(wl, wr, eos1, eos2)
+    w, v, phi, fan = _tp_fan_common(wl, wr, eos1, eos2, scratch)
     u_hll = fan.u_star_l
     fan.u_star_l, fan.u_star_r, bad = rsir_reconstruct(fan, w[0], w[1], beta,
-                                                       eos1, eos2)
+                                                       eos1, eos2, scratch)
     fan.n_fallback = int(np.count_nonzero(bad))
     if fan.n_fallback:
         np.copyto(fan.u_star_l, u_hll, where=bad[..., None])
         np.copyto(fan.u_star_r, u_hll, where=bad[..., None])
-    return _tp_build_fan(w, v, phi, fan)
+    return _tp_build_fan(w, v, phi, fan, scratch)
 
 
 def mixture_entropy(w, eos1, eos2):

@@ -186,3 +186,18 @@ def test_bad_invocation_is_one_error_line(tmp_path, capsys, args):
     assert err.startswith("error: ") and "Traceback" not in err
     assert err.count("\n") == 1 and err.count("error:") == 1
     assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_unusable_out_is_one_error_line_before_the_run(tmp_path, capsys,
+                                                       monkeypatch, below):
+    """``--out`` naming a file, or a path below one, exits 2 with one error
+    line before the case is integrated."""
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    runs = []
+    monkeypatch.setattr(cli._driver, "run", runs.append)
+    code, out, err = run_cli(
+        ["run", "euler-shock-tube", "--out", str(taken / below)], capsys)
+    assert code == 2 and not runs and not out
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -607,6 +607,67 @@ def test_drag_run_copies_the_state_once_per_step():
     assert peak < 5.75, peak
 
 
+def test_drag_and_relaxation_run_hands_its_state_over():
+    """A 2-step hll-tp run on 2e5 cells with Clift-Gauvin drag and pressure
+    relaxation: ``run`` hands [u, w] to the sources and keeps neither, and
+    the stale w goes before drag, so the old state is freed once drag has
+    its copy.  Its traced peak (5.00 state arrays) stays within 5.5;
+    keeping u and w referenced through the sources reads 7.00."""
+    peak = _two_step_tp_peak(drag_model="clift-gauvin")
+    assert peak < 5.5, peak
+
+
+def _recorded_stores(monkeypatch):
+    """A list that gets a copy of the run's store after each step."""
+    stores = []
+    step = driver._step
+
+    def recording(model, *args):
+        result = step(model, *args)
+        stores.append(None if model.scratch is None else dict(model.scratch))
+        return result
+
+    monkeypatch.setattr(driver, "_step", recording)
+    return stores
+
+
+@pytest.mark.parametrize("solver, drag", [
+    *((s, "none") for s in cases.TWOPHASE_SOLVERS), ("rsir-tp", "clift-gauvin")])
+def test_one_block_run_reuses_its_store(monkeypatch, solver, drag):
+    """A one-block two-phase run takes the same arrays from its store on
+    every step after the first, and its final state and snapshots share
+    no memory with them."""
+    case = replace(cases.builtin_case("tp-shock-tube-long"), n_cells=200,
+                   solver=solver, drag_model=drag, output_times=(2e-4,),
+                   end_time=4e-4)
+    stores = _recorded_stores(monkeypatch)
+    res = driver.run(case)
+    assert len(stores) == res.manifest["steps"] > 2
+    first = stores[0]
+    assert len(first) >= 6
+    for store in stores[1:]:
+        assert store.keys() == first.keys()
+        assert all(store[k] is first[k] for k in first)
+    kept = [res.final_cons] + [w for _, w in res.snapshots]
+    assert not any(np.shares_memory(x, a)
+                   for x in kept for a in first.values())
+
+
+def test_only_a_one_block_run_keeps_a_store(monkeypatch):
+    """A mesh of one block of faces gets a store; a larger one gets none,
+    so a multi-block step allocates as before."""
+    m = driver._BLOCK_FACES
+    for name, make in (("euler-shock-tube", driver._euler_model),
+                       ("tp-shock-tube", driver._tp_model)):
+        case = cases.builtin_case(name)
+        assert make(replace(case, n_cells=m - 1)).scratch == {}
+        assert make(replace(case, n_cells=m)).scratch is None
+    monkeypatch.setattr(driver, "_BLOCK_FACES", 7)
+    stores = _recorded_stores(monkeypatch)
+    driver.run(replace(cases.builtin_case("tp-shock-tube"), n_cells=40))
+    assert stores and all(store is None for store in stores)
+
+
 @pytest.mark.xfail(raises=driver.StepError, strict=True,
                    reason="second-order rsir-tp leaves the admissible set "
                           "after 1037 steps (ROADMAP item 1)")

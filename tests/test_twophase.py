@@ -204,3 +204,38 @@ def test_cons_and_local_flux_is_component_major(rng, batch):
     for j in range(7):
         assert uc[..., j].flags.c_contiguous
         assert phi[..., j].flags.c_contiguous
+
+
+FLUXES = {
+    "rusanov-basic": lambda wl, wr, **kw: tp.rusanov_basic_flux(
+        wl, wr, WATER, AIR, **kw),
+    "rusanov-local": lambda wl, wr, **kw: tp.rusanov_local_flux(
+        wl, wr, WATER, AIR, **kw),
+    "hll-tp": lambda wl, wr, **kw: tp.tp_hll_flux(wl, wr, WATER, AIR, **kw),
+    "rsir-tp": lambda wl, wr, **kw: tp.rsir_tp_flux(wl, wr, WATER, AIR, 1.0,
+                                                    **kw),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLUXES))
+def test_flux_arrays_are_new_unless_a_store_is_given(rng, name):
+    """Without a store two calls return arrays that share no memory; with
+    one, the record is the same bit for bit and a second call reuses the
+    store's arrays."""
+    wl, wr = random_twophase_states(rng, 50, WATER, AIR)
+    flux = FLUXES[name]
+
+    def arrays(rec):
+        return [a for a in vars(rec).values() if isinstance(a, np.ndarray)]
+
+    first, second = flux(wl, wr), flux(wl, wr)
+    assert not any(np.shares_memory(a, b)
+                   for a in arrays(first) for b in arrays(second))
+    store = {}
+    stored = flux(wl, wr, scratch=store)
+    for a, b in zip(arrays(first), arrays(stored)):
+        assert np.array_equal(a, b)
+    kept = dict(store)
+    flux(wl, wr, scratch=store)
+    assert store.keys() == kept.keys()
+    assert all(store[k] is kept[k] for k in kept)
