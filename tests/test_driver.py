@@ -632,7 +632,8 @@ def _recorded_stores(monkeypatch):
 
 
 @pytest.mark.parametrize("solver, drag", [
-    *((s, "none") for s in cases.TWOPHASE_SOLVERS), ("rsir-tp", "clift-gauvin")])
+    *((s, "none") for s in cases.TWOPHASE_SOLVERS),
+    ("rsir-tp", "clift-gauvin")])
 def test_one_block_run_reuses_its_store(monkeypatch, solver, drag):
     """A one-block two-phase run takes the same arrays from its store on
     every step after the first, and its final state and snapshots share
