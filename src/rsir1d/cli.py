@@ -18,6 +18,7 @@ from . import cases as _cases
 from . import driver as _driver
 from .eos import EosDomainError
 from .euler import PositivityError
+from .exact_riemann import VacuumError
 from .relaxation import RelaxationError
 
 __all__ = ["main"]
@@ -151,12 +152,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (_cases.ConfigError, KeyError, OSError) as err:
+    except (_cases.ConfigError, KeyError, OSError, UnicodeDecodeError) as err:
         msg = err.args[0] if isinstance(err, KeyError) else err
         print(f"error: {msg}", file=sys.stderr)
         return 2
     except (_driver.StepError, RelaxationError, EosDomainError,
-            PositivityError) as err:
+            PositivityError, VacuumError, MemoryError) as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
 

@@ -119,10 +119,10 @@ class _Model:
     to_cons: object        # primitives -> conserved
     to_prim: object        # conserved -> primitives; raises if inadmissible
     edge: object           # (edge prims, cell prims) -> (cons, predictor flux)
-    flux: object           # (wl, wr) -> interface flux or face-flux record
+    flux: object           # (wl, wr) -> face record with ``n_fallback``
     max_speed: object      # primitives -> largest signal speed
     totals: object         # column sums -> (masses..., momentum, energy)
-    face_fields: tuple = ()   # flux-record fields that ``increment`` reads
+    face_fields: tuple = ("flux",)  # the flux, then what increment reads
     increment: object = None  # (out, w, face fields, dt, dx): H-terms
     clamps: object = None     # conserved -> number of volume-fraction clamps
     sources: object = None    # ([u, w], dt) -> (u, w, RelaxReport|None)
@@ -140,11 +140,11 @@ def _euler_flux_fn(solver, eos, beta):
     if solver == "rusanov":
         return lambda wl, wr: _euler.rusanov_flux(wl, wr, eos)
     if solver == "hll":
-        return lambda wl, wr: _euler.hll_flux(wl, wr, eos).flux
+        return lambda wl, wr: _euler.hll_flux(wl, wr, eos)
     if solver == "hllc":
-        return lambda wl, wr: _euler.hllc_flux(wl, wr, eos).flux
+        return lambda wl, wr: _euler.hllc_flux(wl, wr, eos)
     if solver == "linde":
-        return lambda wl, wr: _euler.linde_flux(wl, wr, eos, beta).flux
+        return lambda wl, wr: _euler.linde_flux(wl, wr, eos, beta)
     if solver == "rsir":
         return lambda wl, wr: _euler.rsir_flux(wl, wr, eos, beta)
     raise ValueError(f"unknown Euler solver {solver!r}")
@@ -180,6 +180,8 @@ def _tp_flux_fn(solver, eos1, eos2, beta, scratch):
 def _tp_model(case):
     eos1, eos2 = case.eos1, case.eos2
     scratch = _scratch(case)
+    drag = case.drag_model == "clift-gauvin" or (
+        case.drag_model == "constant" and case.drag_lambda > 0.0)
 
     def edge(we, w, out):
         # predictor on the locally conservative flux with the cell's own
@@ -210,12 +212,12 @@ def _tp_model(case):
         # state is recovered once, relaxation returns its own primitives
         u, w = state
         state.clear()
-        if case.drag_model != "none":
+        if drag:
             w = None
             if case.drag_model == "clift-gauvin":
                 u = _relax.drag_clift_gauvin(u, case.drag_radius,
                                              case.drag_mu2, dt)
-            elif case.drag_lambda > 0.0:
+            else:
                 u = _relax.velocity_relax(u, case.drag_lambda, dt)
             w = _tp.tp_prim_from_cons(u, eos1, eos2)
         report = None
@@ -229,11 +231,11 @@ def _tp_model(case):
         to_prim=lambda u, out=None: _tp.tp_prim_from_cons(u, eos1, eos2, out),
         edge=edge,
         flux=_tp_flux_fn(case.solver, eos1, eos2, case.beta, scratch),
-        max_speed=max_speed, totals=totals,
-        face_fields=("alpha_face", "phi_alpha_face"), increment=increment,
+        max_speed=max_speed, totals=totals, increment=increment,
+        face_fields=("flux", "alpha_face", "phi_alpha_face"),
         clamps=_tp.alpha_clamps,
-        sources=sources if case.pressure_relax or case.drag_model != "none"
-        else None, scratch=scratch)
+        sources=sources if case.pressure_relax or drag else None,
+        scratch=scratch)
 
 
 # ---------------------------------------------------------------------------
@@ -275,15 +277,13 @@ def _defect(totals, u0, u1, f, lam):
 
 
 def _faces(model, wg, half_lam, first_order):
-    """([fluxes, *model face fields], fallback count) of the m + 1 faces
+    """(the model's face fields, fallback count) of the m + 1 faces
     between the cells 1..m+2 of the m + 4 ghosted cells ``wg``."""
     wm = wp = wg[1:-1]  # left and right edges of those cells
     if not first_order:
         wm, wp = _predict(model, wg, half_lam)
-    rec = model.flux(wp[:-1], wm[1:])  # an array, an Euler fan or a record
-    f = getattr(rec, "f_flux", getattr(rec, "flux", rec))
-    return ([f] + [getattr(rec, name) for name in model.face_fields],
-            getattr(rec, "n_fallback", 0))
+    rec = model.flux(wp[:-1], wm[1:])
+    return [getattr(rec, f) for f in model.face_fields], rec.n_fallback
 
 
 def _step(model, u, w, dt, dx, bc, first_order):
@@ -318,14 +318,14 @@ def _step(model, u, w, dt, dx, bc, first_order):
         if faces is not block:
             for j, x in enumerate(block):
                 faces[j][a:b] = x
-    f = faces[0]
+    f, block = faces[0], None  # a face field may view its block's u_hll
     lam = dt / dx
     out = np.subtract(f[1:], f[:-1])
     out *= lam
     np.subtract(u, out, out=out)
     if model.increment is not None:
         model.increment(out, w, faces[1:], dt, dx)
-    f, faces, block = f[::n].copy(), None, None  # keep the end fluxes
+    f, faces = f[::n].copy(), None  # keep the end fluxes
     defect = _defect(model.totals, u, out, f, lam)  # |out| before w_out
     w_out = model.to_prim(out)
     clamps = model.clamps(out) if model.clamps is not None else 0
@@ -390,6 +390,7 @@ def run(case):
                     max_residual = _nan_max(max_residual, report.residual)
                     max_energy_defect = _nan_max(max_energy_defect,
                                                  report.conservation_defect)
+                del report  # its whole-mesh p_eq must not outlive this step
             t += dt
             step += 1
         snapshots.append((t_out, w))

@@ -46,10 +46,11 @@ class PositivityError(ValueError):
 
 @dataclass
 class EulerFan:
-    """Per-interface Riemann fan record.
+    """Per-interface record of every Euler interface solver.
 
-    s_l, s_m, s_r : wave speeds
-    u_star_l, u_star_r : reconstructed star states (conserved)
+    s_l, s_m, s_r : wave speeds (s_m is None for Rusanov)
+    u_star_l, u_star_r : reconstructed star states (conserved; None for
+                         Rusanov)
     flux : sampled interface flux
     n_fallback : interfaces given the HLL star state because the
                  reconstructed one was inadmissible
@@ -191,11 +192,13 @@ def contact_speed(wl, wr, s_l, s_r):
 
 
 def rusanov_flux(wl, wr, eos):
-    """Rusanov flux with S = max(|u| + c) over both states, which is
-    max(-S_L, S_R) of the Davis bounds."""
+    """Rusanov fan without contact or star states: its flux takes S =
+    max(|u| + c) over both states, which is max(-S_L, S_R) of the Davis
+    bounds."""
     _, (ul, ur), (fl, fr), _, s_l, s_r = _sides(wl, wr, eos)
     s = np.maximum(-s_l, s_r)[..., None]
-    return 0.5 * (fr + fl - s * (ur - ul))
+    flux = 0.5 * (fr + fl - s * (ur - ul))
+    return EulerFan(s_l, None, s_r, None, None, flux)
 
 
 def _star_flux(u_star_l, u_star_r, ul, ur, fl, fr, s_l, s_m, s_r, out=None):

@@ -27,7 +27,6 @@ from .euler import (PositivityError, _buffer, _check_beta, _component_major,
 
 __all__ = [
     "ALPHA_FLOOR",
-    "TwoPhaseFaceFlux",
     "TwoPhaseFan",
     "tp_cons_from_prim",
     "tp_prim_from_cons",
@@ -51,30 +50,29 @@ ALPHA_FLOOR = 1e-8
 
 
 @dataclass
-class TwoPhaseFaceFlux:
-    """Per-interface flux record shared by every two-phase solver.
+class TwoPhaseFan:
+    """Per-interface record of every two-phase interface solver.
 
-    f_flux         : 7-component flux of the non-conservative-form system
+    flux           : 7-component flux F of the non-conservative form
     alpha_face     : face value of alpha1 feeding the momentum H-terms
     phi_alpha_face : face value of the alpha1-equation flux (alpha1*u1)
                      feeding the energy H-terms
     p_i            : frozen interfacial pressure of this interface
+    s_l, s_m1, s_m2, s_r, u_hll, u_star_l, u_star_r : wave speeds, HLL
+                     state and star states of the fan (None for Rusanov)
+    n_fallback     : interfaces given the HLL star state because the
+                     reconstructed one was inadmissible
     """
 
-    f_flux: np.ndarray
+    flux: np.ndarray
     alpha_face: np.ndarray
     phi_alpha_face: np.ndarray
     p_i: np.ndarray
-
-
-@dataclass
-class TwoPhaseFan(TwoPhaseFaceFlux):
-    """Reconstruction record of the two-phase internal-reconstruction solver."""
-
     s_l: np.ndarray = None
     s_m1: np.ndarray = None
     s_m2: np.ndarray = None
     s_r: np.ndarray = None
+    u_hll: np.ndarray = None
     u_star_l: np.ndarray = None
     u_star_r: np.ndarray = None
     n_fallback: int = 0
@@ -159,10 +157,16 @@ def tp_cons_and_local_flux(w, p_i, eos1, eos2, out=(None, None)):
     the locally conservative system for frozen ``p_i``, into the pair
     ``out``, sharing one internal-energy evaluation per phase."""
     uc = tp_cons_from_prim(w, eos1, eos2, out[0])
-    w = np.asarray(w, dtype=float)
+    return uc, _phi(np.asarray(w, dtype=float), uc, p_i, out[1])
+
+
+def _phi(w, uc, p_i, out=None):
+    """The flux ``phi`` of primitive states ``w`` with conserved states
+    ``uc`` for frozen ``p_i``, into ``out``; at p_i = 0 it is the flux F
+    of the non-conservative form."""
     a1, u1, p1, u2, p2 = (w[..., k] for k in (0, 2, 3, 5, 6))
     _, _, q1, en1, _, q2, en2 = (uc[..., k] for k in range(7))
-    cols = _rows(out[1], uc.shape)
+    cols = _rows(out, uc.shape)
     f0, f1, f2, f3, f4, f5, f6 = (cols[k, ...] for k in range(7))
     np.multiply(a1, u1, out=f0)
     f1[...] = q1
@@ -178,23 +182,14 @@ def tp_cons_and_local_flux(w, p_i, eos1, eos2, out=(None, None)):
     f6 += en2
     f6 *= u2
     f6 += np.multiply(np.multiply(p_i, a1, out=a2), u1, out=a2)
-    return uc, _component_major(cols)
+    return _component_major(cols)
 
 
 def phys_flux(w, eos1, eos2):
-    """Flux F of the non-conservative formulation (7 slots)."""
-    return _phys_flux_of(np.asarray(w, float), tp_cons_from_prim(w, eos1, eos2))
-
-
-def _phys_flux_of(w, uc):
-    """:func:`phys_flux` of primitive states ``w`` from their conserved
-    states ``uc``, which hold the phase momenta and total energies."""
-    a1, u1, p1 = w[..., 0], w[..., 2], w[..., 3]
-    a2, u2, p2 = 1.0 - a1, w[..., 5], w[..., 6]
-    q1, en1, q2, en2 = (uc[..., k] for k in (2, 3, 5, 6))
-    return _euler._stack_last((
-        a1 * u1, q1, q1 * u1 + a1 * p1, (en1 + a1 * p1) * u1,
-        q2, q2 * u2 + a2 * p2, (en2 + a2 * p2) * u2))
+    """Flux F of the non-conservative formulation (7 slots): ``phi`` at
+    p_i = 0."""
+    w = np.asarray(w, dtype=float)
+    return _phi(w, tp_cons_from_prim(w, eos1, eos2), 0.0)
 
 
 def _bounds(w, eos2):
@@ -220,20 +215,18 @@ def rusanov_speed(wl, wr, eos2):
 
 def _sides(wl, wr, eos1, eos2, scratch, local=True):
     """Both sides as one batch: (primitives, conserved states, fluxes ``phi``
-    for p_i, or F if not ``local``) of shape (2, ..., 7), p_i, S_L, S_R;
-    the batch arrays come from the store ``scratch``, F does not."""
+    for p_i, or for 0, which is F, if not ``local``) of shape (2, ..., 7),
+    p_i, S_L, S_R; the batch arrays come from the store ``scratch``."""
     shape = (2,) + np.broadcast(wl, wr).shape
     w = _buffer(scratch, "sides", shape)
     w[0], w[1] = wl, wr
     p_i = interfacial_pressure(w[0], w[1])
-    uc = _buffer(scratch, "side states", shape)
+    out = (_buffer(scratch, "side states", shape),
+           _buffer(scratch, "side fluxes", shape))
     try:
         s_l, s_r = _bounds(w, eos2)
-        if local:
-            f = _buffer(scratch, "side fluxes", shape)
-            uc, f = tp_cons_and_local_flux(w, p_i, eos1, eos2, (uc, f))
-        else:
-            f = _phys_flux_of(w, tp_cons_from_prim(w, eos1, eos2, uc))
+        uc, f = tp_cons_and_local_flux(w, p_i if local else 0.0, eos1, eos2,
+                                       out)
     except (EosDomainError, PositivityError):  # quote the first offending side
         for side in w:
             _eos.sound_speed(eos2, side[..., 4], side[..., 6])
@@ -250,8 +243,8 @@ def rusanov_basic_flux(wl, wr, eos1, eos2, scratch=None):
     s = np.maximum(-s_l, s_r)[..., None]
     flux = 0.5 * (f[1] + f[0] - s * (uc[1] - uc[0]))
     a1, au1 = w[..., 0], f[..., 0]
-    return TwoPhaseFaceFlux(f_flux=flux, alpha_face=0.5 * (a1[0] + a1[1]),
-                            phi_alpha_face=0.5 * (au1[0] + au1[1]), p_i=p_i)
+    return TwoPhaseFan(flux, 0.5 * (a1[0] + a1[1]), 0.5 * (au1[0] + au1[1]),
+                       p_i)
 
 
 def _f_from_phi(phi, p_i, a1_face):
@@ -275,8 +268,7 @@ def rusanov_local_flux(wl, wr, eos1, eos2, scratch=None):
     a1, au1 = v[..., 0], phi[..., 0]
     a1_star = 0.5 * (a1[1] + a1[0] - (au1[1] - au1[0]) / s)
     f = _f_from_phi(phi_star, p_i, a1_star)
-    return TwoPhaseFaceFlux(f_flux=f, alpha_face=a1_star,
-                            phi_alpha_face=f[..., 0], p_i=p_i)
+    return TwoPhaseFan(f, a1_star, f[..., 0], p_i)
 
 
 def tp_hll_state(vl, vr, phil, phir, s_l, s_r, out=None):
@@ -293,7 +285,7 @@ def _tp_psi(fan, wl, wr, om_l, om_r, beta, eos1, eos2, scratch=None):
     """Jump vector psi across the phase-1 contact wave of the HLL fan
     ``fan``, from the store ``scratch``; its energy slot 3 uses the star
     masses u_hll[1] -/+ om_r/om_l psi[1]."""
-    u_hll, s_m1, s_m2, p_i = fan.u_star_l, fan.s_m1, fan.s_m2, fan.p_i
+    u_hll, s_m1, s_m2, p_i = fan.u_hll, fan.s_m1, fan.s_m2, fan.p_i
     a1l, a1r = wl[..., 0], wr[..., 0]
     m1l = a1l * wl[..., 1]
     m1r = a1r * wr[..., 1]
@@ -338,7 +330,7 @@ def rsir_reconstruct(fan, wl, wr, beta, eos1, eos2, scratch=None):
     Returns (u_star_l, u_star_r, bad) where ``bad`` flags interfaces whose
     inadmissible reconstruction the caller's beta=0 fallback changes.
     """
-    u_hll = fan.u_star_l
+    u_hll = fan.u_hll
     om_l, om_r = _weights(fan.s_l, fan.s_m1, fan.s_r)
     psi = _tp_psi(fan, wl, wr, om_l, om_r, beta, eos1, eos2, scratch)
     shape = np.broadcast(u_hll, psi).shape
@@ -365,7 +357,7 @@ def _tp_fan_common(wl, wr, eos1, eos2, scratch=None):
     u_hll, s_m1, s_m2 = tp_hll_state(v[0], v[1], phi[0], phi[1], s_l, s_r,
                                      _buffer(scratch, "u_hll", v.shape[1:]))
     return w, v, phi, TwoPhaseFan(None, None, None, p_i, s_l, s_m1, s_m2, s_r,
-                                  u_star_l=u_hll, u_star_r=u_hll)
+                                  u_hll, u_hll, u_hll)
 
 
 def _tp_build_fan(w, v, phi, fan, scratch):
@@ -375,18 +367,17 @@ def _tp_build_fan(w, v, phi, fan, scratch):
     s_l, s_r = fan.s_l, fan.s_r
     flux = _star_flux(fan.u_star_l, fan.u_star_r, *v, *phi, s_l, fan.s_m1,
                       s_r, _buffer(scratch, "star flux", v.shape[1:]))
-    a1, au1 = w[..., 0], phi[..., 0]  # phi slot 0 is alpha1 u1
-    # HLL-form face volume fraction, sampled in the supersonic branches
-    a1_face = (au1[1] - au1[0] + s_l * a1[0] - s_r * a1[1]) / (s_l - s_r)
+    # the HLL state's volume fraction, sampled in the supersonic branches
+    a1_face = fan.u_hll[..., 0]
     _f_from_phi(flux, fan.p_i, a1_face)
     # supersonic faces take a side's F-flux, built from its conserved
     # state (no second EOS pass) and only when some face needs it
     for k, sup in enumerate((s_l >= 0.0, s_r <= 0.0)):
         if np.count_nonzero(sup):
-            a1_face = np.where(sup, a1[k], a1_face)
-            np.copyto(flux, _phys_flux_of(w[k], v[k]), where=sup[..., None])
+            a1_face = np.where(sup, w[k, ..., 0], a1_face)
+            np.copyto(flux, _phi(w[k], v[k], 0.0), where=sup[..., None])
     # the face value of the alpha1-equation flux is the F-flux's slot 0
-    fan.f_flux, fan.alpha_face, fan.phi_alpha_face = flux, a1_face, flux[..., 0]
+    fan.flux, fan.alpha_face, fan.phi_alpha_face = flux, a1_face, flux[..., 0]
     return fan
 
 
@@ -403,13 +394,12 @@ def rsir_tp_flux(wl, wr, eos1, eos2, beta, scratch=None):
     arrays come from the store ``scratch``, if one is given."""
     _check_beta(beta)
     w, v, phi, fan = _tp_fan_common(wl, wr, eos1, eos2, scratch)
-    u_hll = fan.u_star_l
     fan.u_star_l, fan.u_star_r, bad = rsir_reconstruct(fan, w[0], w[1], beta,
                                                        eos1, eos2, scratch)
     fan.n_fallback = int(np.count_nonzero(bad))
     if fan.n_fallback:
-        np.copyto(fan.u_star_l, u_hll, where=bad[..., None])
-        np.copyto(fan.u_star_r, u_hll, where=bad[..., None])
+        np.copyto(fan.u_star_l, fan.u_hll, where=bad[..., None])
+        np.copyto(fan.u_star_r, fan.u_hll, where=bad[..., None])
     return _tp_build_fan(w, v, phi, fan, scratch)
 
 

@@ -66,7 +66,7 @@ def test_02_beta_zero_degenerates_to_hll(rng):
     tl, tr = random_twophase_states(rng, 10_000, WATER, AIR)
     r0 = tp.rsir_tp_flux(tl, tr, WATER, AIR, 0.0)
     rh = tp.tp_hll_flux(tl, tr, WATER, AIR)
-    tp_ok = (np.array_equal(r0.f_flux, rh.f_flux)
+    tp_ok = (np.array_equal(r0.flux, rh.flux)
              and np.array_equal(r0.alpha_face, rh.alpha_face)
              and np.array_equal(r0.phi_alpha_face, rh.phi_alpha_face))
     assert _report(

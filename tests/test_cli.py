@@ -201,3 +201,37 @@ def test_unusable_out_is_one_error_line_before_the_run(tmp_path, capsys,
         ["run", "euler-shock-tube", "--out", str(taken / below)], capsys)
     assert code == 2 and not runs and not out
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_vacuum_in_the_exact_solution_is_one_error_line(capsys):
+    """The oracle of ``compare`` raises VacuumError for states that ``run``
+    integrates: exit 1 with one error line."""
+    code, _, err = run_cli(
+        ["compare", "euler-shock-tube", "--solvers", "rusanov",
+         "--set", "state.left=1 -5000 1e5"], capsys)
+    assert code == 1
+    assert err.startswith("error: VacuumError: ") and err.count("\n") == 1
+
+
+def test_undecodable_config_file_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("name = café\n".encode("latin-1"))
+    code, _, err = run_cli(["run", str(path), "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["latin1.cfg"]
+
+
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
+    """A mesh too large to allocate ends in MemoryError, which numpy raises
+    as a subclass; ``driver.run`` is replaced, so nothing large is made."""
+    def run(case):
+        assert case.n_cells == 100_000_000_000
+        raise MemoryError("Unable to allocate 5.09 TiB for an array")
+
+    monkeypatch.setattr(cli._driver, "run", run)
+    code, out, err = run_cli(
+        ["run", "euler-shock-tube", "--set", "mesh.n_cells=100000000000",
+         "--out", str(tmp_path)], capsys)
+    assert code == 1 and not out
+    assert err.startswith("error: MemoryError: ") and err.count("\n") == 1

@@ -58,7 +58,7 @@ def test_consistency_with_physical_flux(rng):
     """All solvers return F(w) when both states coincide."""
     w, _ = random_euler_states(rng, 100, AIR)
     f_ref = euler.physical_flux(w, AIR)
-    for f in (euler.rusanov_flux(w, w, AIR),
+    for f in (euler.rusanov_flux(w, w, AIR).flux,
               euler.hll_flux(w, w, AIR).flux,
               euler.hllc_flux(w, w, AIR).flux,
               euler.linde_flux(w, w, AIR, 1.0).flux,

@@ -2,11 +2,15 @@
 hypothesis over the ranges of ``conftest.random_euler_states`` and
 ``conftest.random_twophase_states``."""
 
+from dataclasses import replace
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from rsir1d import cases, driver, euler, twophase
 from rsir1d import eos as _eos
-from rsir1d import euler, twophase
+from conftest import random_euler_states, random_twophase_states
 
 EOS = {"air-ideal": _eos.preset("air-ideal"),
        "water-sg": _eos.preset("water-sg"),
@@ -17,12 +21,13 @@ MACH_MAX = 2.0
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
                     database=None)
 
+# the Euler interface solvers, each returning an ``euler.EulerFan``
 FLUXES = {
     "rusanov": lambda wl, wr, eos: euler.rusanov_flux(wl, wr, eos),
-    "hll": lambda wl, wr, eos: euler.hll_flux(wl, wr, eos).flux,
-    "hllc": lambda wl, wr, eos: euler.hllc_flux(wl, wr, eos).flux,
-    "linde": lambda wl, wr, eos: euler.linde_flux(wl, wr, eos, 1.0).flux,
-    "rsir": lambda wl, wr, eos: euler.rsir_flux(wl, wr, eos, 1.0).flux,
+    "hll": lambda wl, wr, eos: euler.hll_flux(wl, wr, eos),
+    "hllc": lambda wl, wr, eos: euler.hllc_flux(wl, wr, eos),
+    "linde": lambda wl, wr, eos: euler.linde_flux(wl, wr, eos, 1.0),
+    "rsir": lambda wl, wr, eos: euler.rsir_flux(wl, wr, eos, 1.0),
 }
 
 
@@ -63,7 +68,7 @@ def test_every_flux_is_consistent(drawn):
     speed = np.abs(w[:, 1]) + _eos.sound_speed(eos, w[:, 0], w[:, 2])
     scale = np.abs(f) + speed[:, None] * np.abs(uc)
     for name, flux in FLUXES.items():
-        err = np.abs(flux(w, w, eos) - f)
+        err = np.abs(flux(w, w, eos).flux - f)
         assert np.all(err <= 1e-12 * scale), name
 
 
@@ -108,25 +113,20 @@ def test_rsir_falls_back_to_hll_where_the_star_state_is_inadmissible(drawn):
     assert np.array_equal(fan.u_star_r[~bad, 0], rho_r[~bad])
 
 
-FANS = {
-    "hll": lambda wl, wr, eos: euler.hll_flux(wl, wr, eos),
-    "hllc": lambda wl, wr, eos: euler.hllc_flux(wl, wr, eos),
-    "linde": lambda wl, wr, eos: euler.linde_flux(wl, wr, eos, 1.0),
-    "rsir": lambda wl, wr, eos: euler.rsir_flux(wl, wr, eos, 1.0),
-}
-
-
 @PROPERTY
 @given(state_pairs())
 def test_every_fan_flux_is_the_four_branch_sample(drawn):
     """Each fan's flux is its star fluxes F_K + S_K (U_K* - U_K), sampled
     at S_M (left at S_M = 0), then F_L where S_L >= 0 and F_R where
-    S_R <= 0, bitwise."""
+    S_R <= 0, bitwise.  Rusanov's record has no contact."""
     eos, wl, wr = drawn
     ul, fl = euler.cons_and_flux(wl, eos)
     ur, fr = euler.cons_and_flux(wr, eos)
-    for name, fan_of in FANS.items():
+    for name, fan_of in FLUXES.items():
         fan = fan_of(wl, wr, eos)
+        if fan.s_m is None:
+            assert name == "rusanov" and fan.u_star_l is fan.u_star_r is None
+            continue
         f_star_l = fl + fan.s_l[:, None] * (fan.u_star_l - ul)
         f_star_r = fr + fan.s_r[:, None] * (fan.u_star_r - ur)
         want = np.where(fan.s_m[:, None] >= 0.0, f_star_l, f_star_r)
@@ -147,10 +147,10 @@ def test_rusanov_flux_uses_the_largest_speed_of_both_sides(drawn):
     cr = _eos.sound_speed(eos, wr[:, 0], wr[:, 2])
     s = np.maximum(np.abs(wl[:, 1]) + cl, np.abs(wr[:, 1]) + cr)[:, None]
     want = 0.5 * (fr + fl - s * (ur - ul))
-    assert np.array_equal(euler.rusanov_flux(wl, wr, eos), want)
+    assert np.array_equal(euler.rusanov_flux(wl, wr, eos).flux, want)
 
 
-# -- memory layout ----------------------------------------------------------
+# -- one record per model ---------------------------------------------------
 
 TP_EOS = (_eos.preset("water-sg"), _eos.preset("air-ideal"))
 
@@ -163,6 +163,31 @@ TP_FLUXES = {
     "rsir-tp": lambda wl, wr: twophase.rsir_tp_flux(wl, wr, *TP_EOS, 1.0),
 }
 
+
+@pytest.mark.parametrize("name", [*FLUXES, *TP_FLUXES])
+def test_every_solver_returns_its_models_face_record(rng, name):
+    """Each of the nine interface solvers returns one record: the flux, an
+    int fallback count and every face field the step reads for its model,
+    one entry per face."""
+    if name in FLUXES:
+        eos = EOS["air-ideal"]
+        wl, wr = random_euler_states(rng, 8, eos)
+        rec = FLUXES[name](wl, wr, eos)
+        case = cases.builtin_case("euler-shock-tube")
+        model = driver._euler_model(replace(case, solver=name))
+    else:
+        wl, wr = random_twophase_states(rng, 8, *TP_EOS)
+        rec = TP_FLUXES[name](wl, wr)
+        case = cases.builtin_case("tp-shock-tube")
+        model = driver._tp_model(replace(case, solver=name))
+    assert model.face_fields[0] == "flux"
+    assert rec.flux.shape == wl.shape
+    assert type(rec.n_fallback) is int
+    for field in model.face_fields:
+        assert np.shape(getattr(rec, field))[0] == len(wl), field
+
+
+# -- memory layout ----------------------------------------------------------
 
 def _tp_states(draw, n):
     """n admissible two-phase primitive states (water-SG in air), drawn
@@ -207,10 +232,10 @@ def _outputs(wl, wr, eos, tl, tr):
     """Every layout-sensitive output, as name -> array."""
     out = {}
     for name, flux in FLUXES.items():
-        out[name] = flux(wl, wr, eos)
+        out[name] = flux(wl, wr, eos).flux
     for name, flux in TP_FLUXES.items():
         rec = flux(tl, tr)
-        out[name] = rec.f_flux
+        out[name] = rec.flux
         out[name + ".alpha_face"] = rec.alpha_face
         out[name + ".phi_alpha_face"] = rec.phi_alpha_face
     out["cons_from_prim"] = euler.cons_from_prim(wl, eos)
@@ -260,11 +285,25 @@ def test_rsir_tp_at_beta_zero_is_tp_hll_bitwise(drawn):
     wl, wr = drawn
     rec = twophase.rsir_tp_flux(wl, wr, *TP_EOS, 0.0)
     hll = twophase.tp_hll_flux(wl, wr, *TP_EOS)
-    for name in ("f_flux", "alpha_face", "phi_alpha_face", "u_star_l",
+    for name in ("flux", "alpha_face", "phi_alpha_face", "u_star_l",
                  "u_star_r"):
         assert np.array_equal(getattr(rec, name), getattr(hll, name)), name
     # nothing falls back where the star states already are U_HLL
     assert rec.n_fallback == 0
+
+
+@PROPERTY
+@given(tp_state_pairs())
+def test_rusanov_basic_is_the_rusanov_flux_of_phys_flux(drawn):
+    """rusanov_basic_flux = 0.5 (F_R + F_L - S (U_R - U_L)) with F from
+    phys_flux, U from tp_cons_from_prim and S from rusanov_speed, bitwise."""
+    wl, wr = drawn
+    fl, fr = (twophase.phys_flux(w, *TP_EOS) for w in (wl, wr))
+    ul, ur = (twophase.tp_cons_from_prim(w, *TP_EOS) for w in (wl, wr))
+    s = twophase.rusanov_speed(wl, wr, TP_EOS[1])[:, None]
+    want = 0.5 * (fr + fl - s * (ur - ul))
+    assert np.array_equal(twophase.rusanov_basic_flux(wl, wr, *TP_EOS).flux,
+                          want)
 
 
 @PROPERTY
@@ -296,7 +335,7 @@ def test_every_two_phase_flux_is_consistent(drawn):
     scale = (np.abs(f) + speed[:, None] * np.abs(uc)
              + (w[:, 3] + w[:, 6])[:, None])
     for name, flux in TP_FLUXES.items():
-        err = np.abs(flux(w, w).f_flux - f)
+        err = np.abs(flux(w, w).flux - f)
         assert np.all(err <= 1e-12 * scale), name
 
 
@@ -312,7 +351,7 @@ def test_rsir_tp_fallback_interfaces_carry_the_hll_star_state(drawn):
     u_star_l, u_star_r, bad = twophase.rsir_reconstruct(hll, wl, wr, 1.0,
                                                         *TP_EOS)
     assert rec.n_fallback == np.count_nonzero(bad)
-    for name in ("u_star_l", "u_star_r", "f_flux", "alpha_face",
+    for name in ("u_star_l", "u_star_r", "flux", "alpha_face",
                  "phi_alpha_face"):
         assert np.array_equal(getattr(rec, name)[bad],
                               getattr(hll, name)[bad]), name

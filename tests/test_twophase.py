@@ -83,14 +83,14 @@ def test_solvers_consistent_with_phys_flux(rng):
                 tp.rusanov_local_flux(w, w, WATER, AIR),
                 tp.tp_hll_flux(w, w, WATER, AIR),
                 tp.rsir_tp_flux(w, w, WATER, AIR, 1.0)):
-        assert np.allclose(rec.f_flux, f_ref, rtol=1e-9, atol=1e-5)
+        assert np.allclose(rec.flux, f_ref, rtol=1e-9, atol=1e-5)
 
 
 def test_beta_zero_is_tp_hll_bitwise(rng):
     wl, wr = random_twophase_states(rng, 300, WATER, AIR)
     rec0 = tp.rsir_tp_flux(wl, wr, WATER, AIR, 0.0)
     rec_h = tp.tp_hll_flux(wl, wr, WATER, AIR)
-    assert np.array_equal(rec0.f_flux, rec_h.f_flux)
+    assert np.array_equal(rec0.flux, rec_h.flux)
     assert np.array_equal(rec0.alpha_face, rec_h.alpha_face)
     assert np.array_equal(rec0.phi_alpha_face, rec_h.phi_alpha_face)
 
@@ -99,7 +99,7 @@ def test_star_states_recombine_to_hll(rng):
     wl, wr = random_twophase_states(rng, 200, WATER, AIR, slip=0.1)
     w, _, _, fan = tp._tp_fan_common(wl, wr, WATER, AIR)
     assert np.array_equal(w[0], wl) and np.array_equal(w[1], wr)
-    u_hll, s_l, s_m1, s_r = fan.u_star_l, fan.s_l, fan.s_m1, fan.s_r
+    u_hll, s_l, s_m1, s_r = fan.u_hll, fan.s_l, fan.s_m1, fan.s_r
     assert fan.u_star_r is u_hll and u_hll.shape == wl.shape
     u_star_l, u_star_r, bad = tp.rsir_reconstruct(fan, wl, wr, 1.0,
                                                   WATER, AIR)
@@ -113,7 +113,7 @@ def test_star_states_recombine_to_hll(rng):
 def test_psi_vanishes_at_beta_zero(rng):
     wl, wr = random_twophase_states(rng, 50, WATER, AIR)
     _, _, _, fan = tp._tp_fan_common(wl, wr, WATER, AIR)
-    u_hll, s_l, s_m1, s_r = fan.u_star_l, fan.s_l, fan.s_m1, fan.s_r
+    u_hll, s_l, s_m1, s_r = fan.u_hll, fan.s_l, fan.s_m1, fan.s_r
     om_l = (s_m1 - s_l) / (s_r - s_l)
     om_r = (s_r - s_m1) / (s_r - s_l)
     psi = tp._tp_psi(fan, wl, wr, om_l, om_r, 0.0, WATER, AIR)
@@ -134,12 +134,12 @@ def test_mechanical_equilibrium_flux_is_exact():
     # the phase momentum slots carry the p_i alpha_face split that the
     # non-conservative cell terms balance; everything else is exact, and
     # so is the mixture momentum flux
-    assert np.allclose(rec.f_flux[..., [0, 1, 3, 4, 6]],
+    assert np.allclose(rec.flux[..., [0, 1, 3, 4, 6]],
                        f_exact[..., [0, 1, 3, 4, 6]], rtol=1e-9)
-    assert np.allclose(rec.f_flux[..., 2] + rec.f_flux[..., 5],
+    assert np.allclose(rec.flux[..., 2] + rec.flux[..., 5],
                        f_exact[..., 2] + f_exact[..., 5], rtol=1e-12)
     # and the momentum correction is consistent with the face alpha
-    assert np.allclose(rec.f_flux[..., 2] + rec.p_i * (wl[..., 0] - rec.alpha_face),
+    assert np.allclose(rec.flux[..., 2] + rec.p_i * (wl[..., 0] - rec.alpha_face),
                        f_exact[..., 2], rtol=1e-9)
     assert rec.n_fallback == 0
 
@@ -156,7 +156,7 @@ def test_supersonic_upwinding():
         w = wl if ul > 0.0 else wr
         for rec in (tp.tp_hll_flux(wl, wr, WATER, AIR),
                     tp.rsir_tp_flux(wl, wr, WATER, AIR, 1.0)):
-            assert np.array_equal(rec.f_flux, tp.phys_flux(w, WATER, AIR))
+            assert np.array_equal(rec.flux, tp.phys_flux(w, WATER, AIR))
             assert np.array_equal(rec.alpha_face, w[..., 0])
             assert np.array_equal(rec.phi_alpha_face, w[..., 0] * w[..., 2])
 
@@ -169,7 +169,7 @@ def test_fallback_counted_on_inadmissible_reconstruction():
     rec1 = tp.rsir_tp_flux(wl, wr, WATER, AIR, 1.0)
     rec0 = tp.tp_hll_flux(wl, wr, WATER, AIR)
     if rec1.n_fallback:
-        assert np.allclose(rec1.f_flux, rec0.f_flux)
+        assert np.allclose(rec1.flux, rec0.flux)
 
 
 def test_invalid_beta_raises():
