@@ -3,6 +3,7 @@
 plot-script / comparison output helpers.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -228,6 +229,7 @@ def _apply_lines(case, lines, source):
 # Built-in catalog
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _catalog():
     air = _eos.preset("air-ideal")
     water = _eos.preset("water-sg")
@@ -325,22 +327,12 @@ def _catalog():
     return cases
 
 
-_CATALOG = None
-
-
-def _get_catalog():
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = _catalog()
-    return _CATALOG
-
-
 def case_names():
-    return sorted(_get_catalog())
+    return sorted(_catalog())
 
 
 def builtin_case(name):
-    cat = _get_catalog()
+    cat = _catalog()
     if name not in cat:
         raise KeyError(
             f"unknown case {name!r}; available: {', '.join(sorted(cat))}")

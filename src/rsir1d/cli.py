@@ -26,8 +26,16 @@ __all__ = ["main"]
 
 def _load_case(spec_arg, overrides):
     if os.path.isfile(spec_arg):
-        with open(spec_arg) as fh:
-            case = _cases.parse_config(fh.read())
+        with open(spec_arg, "rb") as fh:
+            raw = fh.read()
+        try:
+            text = raw.decode()
+        except UnicodeDecodeError as err:  # name the file and the line
+            line = raw.count(b"\n", 0, err.start) + 1
+            raise _cases.ConfigError(
+                f"{spec_arg} line {line}: byte {raw[err.start]:#04x} is not "
+                f"UTF-8 ({err.reason})") from None
+        case = _cases.parse_config(text)
         if case.name == "custom":
             case = replace(
                 case,
@@ -152,7 +160,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (_cases.ConfigError, KeyError, OSError, UnicodeDecodeError) as err:
+    except (_cases.ConfigError, KeyError, OSError) as err:
         msg = err.args[0] if isinstance(err, KeyError) else err
         print(f"error: {msg}", file=sys.stderr)
         return 2

@@ -148,17 +148,11 @@ def cons_and_flux(w, eos, out=(None, None)):
 
 
 def davis_wave_speeds(wl, wr, eos):
-    """Davis exterior wave-speed estimates (signed form):
+    """Davis exterior bounds (signed form), from the one batch of both sides:
 
         S_L = min(u_L - c_L, u_R - c_R),  S_R = max(u_L + c_L, u_R + c_R)
     """
-    wl = np.asarray(wl, float)
-    wr = np.asarray(wr, float)
-    cl = _eos.sound_speed(eos, wl[..., 0], wl[..., 2])
-    cr = _eos.sound_speed(eos, wr[..., 0], wr[..., 2])
-    s_l = np.minimum(wl[..., 1] - cl, wr[..., 1] - cr)
-    s_r = np.maximum(wl[..., 1] + cl, wr[..., 1] + cr)
-    return s_l, s_r
+    return _sides(wl, wr, eos)[4:]
 
 
 def hll_state(ul, ur, fl, fr, s_l, s_r, out=None):
@@ -218,14 +212,8 @@ def _sides(wl, wr, eos):
     fluxes) of shape (2, ..., 3), c^2 of shape (2, ...), S_L and S_R."""
     w = _component_major(np.empty((3, 2) + np.broadcast(wl, wr).shape[:-1]))
     w[0], w[1] = wl, wr
-    try:
-        c2 = _eos._sound_speed_sq(eos, w[..., 0], w[..., 2])
-        uc, f = cons_and_flux(w, eos)
-    except EosDomainError:  # quote the first offending side, not both
-        davis_wave_speeds(wl, wr, eos)
-        cons_and_flux(wl, eos)
-        cons_and_flux(wr, eos)
-        raise
+    c2 = _eos._sound_speed_sq(eos, w[..., 0], w[..., 2])
+    uc, f = cons_and_flux(w, eos)
     c = np.sqrt(c2)
     lo, hi = w[..., 1] - c, w[..., 1] + c
     return w, uc, f, c2, np.minimum(*lo), np.maximum(*hi)

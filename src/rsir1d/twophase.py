@@ -21,7 +21,6 @@ import numpy as np
 
 from . import eos as _eos
 from . import euler as _euler
-from .eos import EosDomainError
 from .euler import (PositivityError, _buffer, _check_beta, _component_major,
                     _rows, _star_flux, _weights)
 
@@ -223,16 +222,8 @@ def _sides(wl, wr, eos1, eos2, scratch, local=True):
     p_i = interfacial_pressure(w[0], w[1])
     out = (_buffer(scratch, "side states", shape),
            _buffer(scratch, "side fluxes", shape))
-    try:
-        s_l, s_r = _bounds(w, eos2)
-        uc, f = tp_cons_and_local_flux(w, p_i if local else 0.0, eos1, eos2,
-                                       out)
-    except (EosDomainError, PositivityError):  # quote the first offending side
-        for side in w:
-            _eos.sound_speed(eos2, side[..., 4], side[..., 6])
-        for side in w:
-            tp_cons_from_prim(side, eos1, eos2)
-        raise
+    s_l, s_r = _bounds(w, eos2)
+    uc, f = tp_cons_and_local_flux(w, p_i if local else 0.0, eos1, eos2, out)
     return w, uc, f, p_i, s_l, s_r
 
 

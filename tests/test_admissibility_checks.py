@@ -100,28 +100,33 @@ def test_check_raises_its_class_and_message(name):
     assert str(exc.value) == message
 
 
-def test_interface_flux_error_names_the_first_offending_side():
-    """Both sides are evaluated as one batch; a failure still quotes the
-    extremum of the side that a left-then-right evaluation meets first."""
+def test_interface_flux_error_quotes_the_batch_extremum():
+    """Both sides are evaluated as one batch, so a failure quotes the
+    extremum over both sides: the left side's c^2 of -280000 is not the
+    minimum beside the right side's -700000."""
     good = np.array([[1.0, 0.0, 1e5], [1.0, 0.0, 1e5]])
     left = np.array([[1.0, 0.0, 1e5], [1.0, 0.0, -2e5]])
     right = np.array([[1.0, 0.0, -5e5], [1.0, 0.0, 1e5]])
-    for flux in (euler.hll_flux, euler.rusanov_flux):
-        with pytest.raises(EosDomainError, match=r"min c\^2 = -280000\.0"):
-            flux(left, right, AIR)
-        with pytest.raises(EosDomainError, match=r"min c\^2 = -700000\.0"):
-            flux(good, right, AIR)
-    # rho = 0 gives c^2 = inf, so the density check of the left side fires
+    for flux in (euler.hll_flux, euler.rusanov_flux, euler.davis_wave_speeds):
+        for wl in (left, good):
+            with pytest.raises(EosDomainError) as exc:
+                flux(wl, right, AIR)
+            assert type(exc.value) is EosDomainError
+            assert str(exc.value) == (
+                "non-positive squared sound speed (min c^2 = -700000.0); "
+                "state outside convexity region")
+    # rho = 0 gives c^2 = inf and passes the sound speed, so the density
+    # check fires, quoting the right side's -1.0 rather than the left's 0.0
     zero = np.array([[0.0, 0.0, 1e5], [1.0, 0.0, 1e5]])
-    with np.errstate(divide="ignore"), pytest.raises(
-            EosDomainError, match=r"non-positive density \(min 0\.0\)"):
+    with np.errstate(divide="ignore"), pytest.raises(EosDomainError) as exc:
         euler.rsir_flux(zero, -good, AIR, 1.0)
+    assert str(exc.value) == "non-positive density (min -1.0)"
 
 
-def test_two_phase_flux_error_names_the_first_offending_side():
+def test_two_phase_flux_error_quotes_the_batch_extremum():
     """The two-phase fluxes batch both sides too: the carriers' sound
-    speeds are checked first, then each side's alpha1, and a failure
-    quotes the side that a left-then-right evaluation meets first."""
+    speeds are checked first, then alpha1, and a failure quotes the
+    extremum over both sides."""
     good = np.array([_tp_state(), _tp_state()])
     left, right = good.copy(), good.copy()
     left[1, 6], right[0, 6] = -2e5, -5e5
@@ -129,12 +134,14 @@ def test_two_phase_flux_error_names_the_first_offending_side():
     a1_left[1, 0], a1_right[0, 0] = 1.0, 0.0
     for flux in (twophase.rusanov_basic_flux, twophase.rusanov_local_flux,
                  twophase.tp_hll_flux):
-        with pytest.raises(EosDomainError, match=r"c\^2 = -233333\.3"):
-            flux(left, right, WATER, AIR)
-        with pytest.raises(EosDomainError, match=r"c\^2 = -583333\.3"):
-            flux(good, right, WATER, AIR)
-        with pytest.raises(PositivityError, match=r"extrema \[0\.5, 1\.0\]"):
+        for wl in (left, good):
+            with pytest.raises(EosDomainError, match=r"c\^2 = -583333\.3"):
+                flux(wl, right, WATER, AIR)
+        with pytest.raises(PositivityError) as exc:
             flux(a1_left, a1_right, WATER, AIR)
+        assert type(exc.value) is PositivityError
+        assert str(exc.value) == (
+            "alpha1 must lie strictly inside (0,1), got extrema [0.0, 1.0]")
 
 
 @pytest.mark.parametrize("call", [

@@ -214,12 +214,20 @@ def test_vacuum_in_the_exact_solution_is_one_error_line(capsys):
 
 
 def test_undecodable_config_file_is_one_error_line(tmp_path, capsys):
+    """A byte that is not UTF-8 is one error line naming the file and the
+    1-based line of that byte, not its offset in the whole file."""
     path = tmp_path / "latin1.cfg"
     path.write_bytes("name = café\n".encode("latin-1"))
     code, _, err = run_cli(["run", str(path), "--out", str(tmp_path)], capsys)
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err and "line 1:" in err and "0xe9" in err
+    assert "position" not in err
     assert os.listdir(tmp_path) == ["latin1.cfg"]
+    path.write_bytes("# a comment\nmodel = euler\nname = café\n".encode(
+        "latin-1"))
+    code, _, err = run_cli(["run", str(path), "--out", str(tmp_path)], capsys)
+    assert code == 2 and f"{path} line 3:" in err and err.count("\n") == 1
 
 
 def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):

@@ -12,6 +12,7 @@ from rsir1d import euler as _euler
 from rsir1d import exact_riemann as ex
 from rsir1d import twophase as tp
 from rsir1d.eos import EosDomainError
+from conftest import random_euler_states, random_twophase_states
 
 
 def test_mesh_basics():
@@ -71,18 +72,23 @@ def test_minmod_accepts_scalars_and_lists():
 
 
 def test_boundary_transmissive_and_reflective():
-    u = np.arange(12.0).reshape(4, 3)
-    g = driver.apply_boundary(u, "transmissive", velocity_slots=(1,))
-    assert np.allclose(g[0], u[0]) and np.allclose(g[1], u[0])
-    assert np.allclose(g[-1], u[-1]) and np.allclose(g[-2], u[-1])
-    g = driver.apply_boundary(u, "reflective", velocity_slots=(1,))
-    assert g[1, 0] == u[0, 0] and g[1, 1] == -u[0, 1]
-    assert g[0, 1] == -u[1, 1]
-    g = driver.apply_boundary(u, "periodic", velocity_slots=(1,))
-    assert np.allclose(g[0:2], u[-2:])
-    assert np.allclose(g[-2:], u[0:2])
-    with pytest.raises(ValueError):
-        driver.apply_boundary(u, "open", velocity_slots=(1,))
+    """The ghost cells -2, -1, n and n+1 of each boundary kind copy the
+    interior cells 0, 0, n-1, n-1 (transmissive), 1, 0, n-1, n-2 with the
+    velocity slots negated (reflective) or n-2, n-1, 0, 1 (periodic),
+    leaving the interior field unchanged; an unknown kind raises."""
+    for slots, k in (((1,), 3), ((2, 5), 7)):
+        u = np.arange(1.0, 5.0 * k + 1.0).reshape(5, k)
+        sign = np.ones(k)
+        sign[list(slots)] = -1.0
+        for kind, cells, factor in (
+                ("transmissive", [0, 0, 4, 4], 1.0),
+                ("reflective", [1, 0, 4, 3], sign),
+                ("periodic", [3, 4, 0, 1], 1.0)):
+            g = driver._ghosts(u, kind, velocity_slots=slots)
+            assert g.tobytes() == (u[cells] * factor).tobytes(), kind
+        assert np.array_equal(u, np.arange(1.0, 5.0 * k + 1.0).reshape(5, k))
+        with pytest.raises(ValueError, match="unknown boundary kind 'open'"):
+            driver._ghosts(u, "open", velocity_slots=slots)
 
 
 def test_cfl_dt():
@@ -201,17 +207,44 @@ def test_unknown_solver_raises():
 
 
 def test_primitive_ghost_fill_equals_conserved_ghost_fill(rng):
-    """Ghost cells filled on primitives equal the recovery of ghosted
-    conserved states, bit for bit, for every boundary kind."""
-    eos = _eos.preset("air-ideal")
-    w = np.stack([rng.uniform(0.5, 2.0, 20), rng.uniform(-300, 300, 20),
-                  rng.uniform(1e4, 1e6, 20)], axis=-1)
-    u = _euler.cons_from_prim(w, eos)
-    w = _euler.prim_from_cons(u, eos)
-    for bc in ("transmissive", "reflective", "periodic"):
-        assert np.array_equal(
-            driver.apply_boundary(w, bc, (1,)),
-            _euler.prim_from_cons(driver.apply_boundary(u, bc, (1,)), eos))
+    """Ghost cells filled on primitives equal the recovery of the ghost
+    cells of conserved states, bit for bit, for every boundary kind and
+    both models: a wall negates velocity and momentum alike."""
+    air, water = _eos.preset("air-ideal"), _eos.preset("water-sg")
+    for w, slots, to_cons, to_prim in (
+            (random_euler_states(rng, 20, air)[0], (1,),
+             lambda w: _euler.cons_from_prim(w, air),
+             lambda u: _euler.prim_from_cons(u, air)),
+            (random_twophase_states(rng, 20, water, air)[0], (2, 5),
+             lambda w: tp.tp_cons_from_prim(w, water, air),
+             lambda u: tp.tp_prim_from_cons(u, water, air))):
+        u = to_cons(w)
+        w = to_prim(u)
+        for bc in ("transmissive", "reflective", "periodic"):
+            assert driver._ghosts(w, bc, slots).tobytes() == to_prim(
+                driver._ghosts(u, bc, slots)).tobytes(), bc
+
+
+@pytest.mark.parametrize("name", ["euler-shock-tube", "tp-shock-tube"])
+def test_output_time_zero_is_the_initial_state(name):
+    """An output time of 0.0, or of -0.0, gives the initial primitives,
+    recovered from the initial conserved states, as the first snapshot,
+    at t = 0.0 and bit for bit; the later snapshots are unchanged."""
+    case = replace(cases.builtin_case(name), output_times=(0.0, 1e-4))
+    model = (driver._euler_model if case.model == "euler"
+             else driver._tp_model)(case)
+    centers = driver.Mesh1D(case.x_min, case.x_max, case.n_cells).centers
+    w0 = model.to_prim(model.to_cons(np.where(
+        (centers < case.x_disc)[:, None], [case.left], [case.right])))
+    ref = driver.run(replace(case, output_times=(1e-4,)))
+    for zero in (0.0, -0.0):
+        res = driver.run(replace(case, output_times=(zero, 1e-4)))
+        (t, w), *later = res.snapshots
+        assert t == 0.0 and not np.signbit(t)
+        assert w.tobytes() == w0.tobytes()
+        assert res.final_cons.tobytes() == ref.final_cons.tobytes()
+        assert [(t, w.tobytes()) for t, w in later] == [
+            (t, w.tobytes()) for t, w in ref.snapshots]
 
 
 def test_alpha_clamps_count_once_per_cell_per_step():
@@ -605,25 +638,22 @@ def _two_step_tp_peak(**fields):
     return peak / state
 
 
-def test_relaxed_two_phase_run_holds_four_states_and_the_relaxation():
-    """A 2-step relaxed hll-tp run on 2e5 cells: once a step succeeds the
-    old u and w are dropped, so relaxation runs beside the step's u and w
-    only, and builds the relaxed u and w with a few columns of its own.
-    Its traced peak (5.00 state arrays) stays within 5.5.  Keeping the old
-    u and w through the sources reads 9.75."""
-    case = cases.builtin_case("tp-shock-tube")
-    assert case.pressure_relax and case.drag_model == "none"
-    peak = _two_step_tp_peak()
-    assert peak < 5.5, peak
-
-
 @pytest.mark.parametrize("drag", ["none", "clift-gauvin"])
 def test_relaxed_run_drops_its_report_before_the_next_step(drag):
-    """``run`` drops each RelaxReport once it has read its counters, so the
-    report's whole-mesh p_eq (1/7 of a state array) is not alive through
-    the next step: a 2-step relaxed hll-tp run on 2e5 cells, with or
-    without Clift-Gauvin drag, peaks at 4.86 state arrays, below 4.95
-    (5.00 while the report is kept)."""
+    """A 2-step relaxed hll-tp run on 2e5 cells, with or without
+    Clift-Gauvin drag, peaks at 4.86 state arrays, below 4.95:
+
+    - once a step succeeds the old u and w are dropped, so relaxation runs
+      beside the step's u and w only (keeping them through the sources
+      reads 9.75 without drag);
+    - ``run`` hands [u, w] to the sources and keeps neither, and the stale
+      w goes before drag, so the old state is freed once drag has its copy
+      (keeping u and w referenced through the sources reads 7.00 with
+      drag);
+    - ``run`` drops each RelaxReport once it has read its counters, so the
+      report's whole-mesh p_eq (1/7 of a state array) is not alive through
+      the next step (5.00 while the report is kept)."""
+    assert cases.builtin_case("tp-shock-tube").pressure_relax
     peak = _two_step_tp_peak(drag_model=drag)
     assert peak < 4.95, peak
 
@@ -635,16 +665,6 @@ def test_drag_run_copies_the_state_once_per_step():
     below 5.75; a new state per sub-step reads 6.29."""
     peak = _two_step_tp_peak(drag_model="clift-gauvin", pressure_relax=False)
     assert peak < 5.75, peak
-
-
-def test_drag_and_relaxation_run_hands_its_state_over():
-    """A 2-step hll-tp run on 2e5 cells with Clift-Gauvin drag and pressure
-    relaxation: ``run`` hands [u, w] to the sources and keeps neither, and
-    the stale w goes before drag, so the old state is freed once drag has
-    its copy.  Its traced peak (5.00 state arrays) stays within 5.5;
-    keeping u and w referenced through the sources reads 7.00."""
-    peak = _two_step_tp_peak(drag_model="clift-gauvin")
-    assert peak < 5.5, peak
 
 
 def _recorded_stores(monkeypatch):
@@ -710,3 +730,34 @@ def test_rsir_tp_long_shock_tube_runs_to_its_end():
                    output_times=())
     res = driver.run(case)
     assert res.snapshots[-1][0] == case.end_time
+
+
+def _odd_even_amplitude(a):
+    """A(a) = max over windows of 8 consecutive cells of |mean of
+    (-1)^j r_j|, where r_j = a_j - (a_{j-1} + a_{j+1}) / 2: the windowed
+    amplitude of the cell-scale (-1)^j mode of the field ``a``."""
+    r = a[1:-1] - 0.5 * (a[:-2] + a[2:])
+    r[1::2] *= -1.0
+    return float(np.max(np.abs(np.convolve(r, np.full(8, 1 / 8), "valid"))))
+
+
+_ODD_EVEN = pytest.mark.xfail(
+    raises=AssertionError, strict=True,
+    reason="the two-phase HLL fan's left bound sits on the dispersed phase, "
+           "so its phase-1 slots carry an odd-even mode (ROADMAP item 1)")
+
+
+@pytest.mark.parametrize("solver", [
+    "rusanov-basic", "rusanov-local", pytest.param("hll-tp", marks=_ODD_EVEN),
+    pytest.param("rsir-tp", marks=_ODD_EVEN)])
+def test_first_order_tp_shock_tube_has_no_odd_even_mode(solver):
+    """First-order tp-shock-tube at 1000 cells, at its end time: the
+    odd-even amplitude of alpha1 stays within 1e-3.  Rusanov reads 1.6e-6;
+    hll-tp reads 5.6e-2 and rsir-tp 1.1e-1 until ROADMAP item 1 is done.
+    That item may tighten this bound but not loosen it."""
+    case = replace(cases.builtin_case("tp-shock-tube"), solver=solver,
+                   limiter="none", n_cells=1000)
+    res = driver.run(case)
+    assert res.snapshots[-1][0] == case.end_time
+    amplitude = _odd_even_amplitude(res.snapshots[-1][1][:, 0])
+    assert amplitude <= 1e-3, amplitude

@@ -54,18 +54,6 @@ def test_hll_state_consistency(rng):
     assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-8)
 
 
-def test_consistency_with_physical_flux(rng):
-    """All solvers return F(w) when both states coincide."""
-    w, _ = random_euler_states(rng, 100, AIR)
-    f_ref = euler.physical_flux(w, AIR)
-    for f in (euler.rusanov_flux(w, w, AIR).flux,
-              euler.hll_flux(w, w, AIR).flux,
-              euler.hllc_flux(w, w, AIR).flux,
-              euler.linde_flux(w, w, AIR, 1.0).flux,
-              euler.rsir_flux(w, w, AIR, 1.0).flux):
-        assert np.allclose(f, f_ref, rtol=1e-9, atol=1e-6)
-
-
 def test_star_states_recombine_to_hll(rng):
     """omega_R U_R* + omega_L U_L* equals the HLL state for every member
     of the reconstruction family."""
@@ -82,13 +70,6 @@ def test_star_states_recombine_to_hll(rng):
         om_r = (fan.s_r - fan.s_m) / (fan.s_r - fan.s_l)
         rec = om_r[..., None] * fan.u_star_r + om_l[..., None] * fan.u_star_l
         assert np.allclose(rec, u_hll, rtol=1e-10, atol=1e-7)
-
-
-def test_beta_zero_is_hll_bitwise(rng):
-    wl, wr = random_euler_states(rng, 500, AIR)
-    f_hll = euler.hll_flux(wl, wr, AIR).flux
-    f0 = euler.rsir_flux(wl, wr, AIR, 0.0).flux
-    assert np.array_equal(f0, f_hll)
 
 
 def test_contact_preservation_rsir_and_hllc():

@@ -76,25 +76,6 @@ def test_wave_bounds_contain_eigenvalues(rng):
             assert np.all(lam <= s_r + 1e-9)
 
 
-def test_solvers_consistent_with_phys_flux(rng):
-    w, _ = random_twophase_states(rng, 100, WATER, AIR)
-    f_ref = tp.phys_flux(w, WATER, AIR)
-    for rec in (tp.rusanov_basic_flux(w, w, WATER, AIR),
-                tp.rusanov_local_flux(w, w, WATER, AIR),
-                tp.tp_hll_flux(w, w, WATER, AIR),
-                tp.rsir_tp_flux(w, w, WATER, AIR, 1.0)):
-        assert np.allclose(rec.flux, f_ref, rtol=1e-9, atol=1e-5)
-
-
-def test_beta_zero_is_tp_hll_bitwise(rng):
-    wl, wr = random_twophase_states(rng, 300, WATER, AIR)
-    rec0 = tp.rsir_tp_flux(wl, wr, WATER, AIR, 0.0)
-    rec_h = tp.tp_hll_flux(wl, wr, WATER, AIR)
-    assert np.array_equal(rec0.flux, rec_h.flux)
-    assert np.array_equal(rec0.alpha_face, rec_h.alpha_face)
-    assert np.array_equal(rec0.phi_alpha_face, rec_h.phi_alpha_face)
-
-
 def test_star_states_recombine_to_hll(rng):
     wl, wr = random_twophase_states(rng, 200, WATER, AIR, slip=0.1)
     w, _, _, fan = tp._tp_fan_common(wl, wr, WATER, AIR)
