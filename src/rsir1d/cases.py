@@ -183,11 +183,10 @@ def apply_overrides(case, pairs):
     return _apply_lines(case, lines, source="override")
 
 
-def parse_config(text):
+def parse_config(text, source="config"):
     """Build a CaseConfig from config text; unknown keys raise ConfigError
-    with the offending line."""
-    return _apply_lines(CaseConfig(name="custom"), text.splitlines(),
-                        source="config")
+    with the offending line of ``source``, such as the file's name."""
+    return _apply_lines(CaseConfig(name="custom"), text.splitlines(), source)
 
 
 def _apply_lines(case, lines, source):

@@ -35,7 +35,7 @@ def _load_case(spec_arg, overrides):
             raise _cases.ConfigError(
                 f"{spec_arg} line {line}: byte {raw[err.start]:#04x} is not "
                 f"UTF-8 ({err.reason})") from None
-        case = _cases.parse_config(text)
+        case = _cases.parse_config(text, source=spec_arg)
         if case.name == "custom":
             case = replace(
                 case,

@@ -3,6 +3,7 @@ reconstruction with Minmod limiter, CFL stepping, boundary conditions,
 Godunov update with non-conservative terms, and split relaxation sources.
 """
 
+import math
 import time as _time
 from dataclasses import dataclass
 
@@ -62,11 +63,13 @@ class RunResult:
     final_cons: np.ndarray = None
 
 
-def minmod(a, b):
+def minmod(a, b, out=(None, None)):
     """0 on a sign change or a zero, else the smaller-magnitude argument:
     the median of (a, b, 0), with a zero returned as +0.0 where numpy's
-    minimum and maximum break signed-zero ties by their second argument."""
-    return np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), 0.0))
+    minimum and maximum break signed-zero ties by their second argument;
+    into the first array of the pair ``out``, whose second is scratch."""
+    hi = np.minimum(np.maximum(a, b, out=out[1]), 0.0, out=out[1])
+    return np.maximum(np.minimum(a, b, out=out[0]), hi, out=out[0])
 
 
 # the interior cells that the ghost cells -2, -1, n and n+1 copy
@@ -112,7 +115,7 @@ class _Model:
     edge: object           # (edge prims, cell prims) -> (cons, predictor flux)
     flux: object           # (wl, wr) -> face record with ``n_fallback``
     max_speed: object      # primitives -> largest signal speed
-    totals: object         # column sums -> (masses..., momentum, energy)
+    totals: object         # column sums -> [masses..., momentum, energy]
     face_fields: tuple = ("flux",)  # the flux, then what increment reads
     increment: object = None  # (out, w, face fields, dt, dx): H-terms
     clamps: object = None     # conserved -> number of volume-fraction clamps
@@ -187,7 +190,7 @@ def _tp_model(case):
     def totals(s):
         # phase masses, mixture momentum and mixture energy: the H-terms
         # cancel pairwise in these combinations
-        return np.array([s[1], s[4], s[2] + s[5], s[3] + s[6]])
+        return [s[1], s[4], s[2] + s[5], s[3] + s[6]]
 
     def increment(out, w, faces, dt, dx):
         # non-conservative terms with cell-centered interfacial pressure
@@ -237,10 +240,16 @@ def _predict(model, wg, half_lam):
     """Minmod-limited edge states (wm, wp) of the cells 1..n+2 of ``wg``,
     advanced by half a step with the model's predictor flux; both edges
     go through ``edge`` and ``to_prim`` as one (2, n+2, k) batch, in the
-    model's store for a one-block step."""
-    d = wg[1:] - wg[:-1]
-    half = minmod(d[:-1], d[1:])
-    half *= 0.5
+    model's store for a one-block step.  The slopes are 1-D passes over the
+    component-major ``wg``, whose entries across two components go unread."""
+    flat = wg.T.reshape(-1)
+    half = _euler._buffer(model.scratch, "half slopes", flat.shape)
+    work = _euler._buffer(model.scratch, "slopes", flat.shape + (2,)).T
+    np.subtract(flat[1:], flat[:-1], out=work[0, :-1])
+    minmod(work[0, :-2], work[0, 1:-1], (half[:-2], work[1, :-2]))
+    del work  # a multi-block step frees it before the edge batches
+    half[:-2] *= 0.5
+    half = half.reshape(wg.shape[::-1])[:, :-2].T
     wc = wg[1:-1]
     we, ue, fe, w_edge = (
         _euler._buffer(model.scratch, role, (2,) + wc.shape)
@@ -255,16 +264,25 @@ def _predict(model, wg, half_lam):
     return we[0], we[1]
 
 
-def _defect(totals, u0, u1, f, lam):
-    """Relative conservation defect of the update u0 -> u1 with interface
-    fluxes f and lam = dt/dx, from one column sum per array."""
-    budget = totals(np.add.reduce(u1, axis=0) - np.add.reduce(u0, axis=0)
-                    + lam * (f[-1] - f[0]))
-    denom = totals(np.add.reduce(np.abs(u1), axis=0))
+def _sums(u):
+    """The column sums of the cells ``u``, as a list of floats."""
+    return np.add.reduce(u, axis=0).tolist()
+
+
+def _defect(totals, s0, u1, f, lam):
+    """(relative conservation defect of the update u0 -> u1 with the end
+    fluxes f = (F_0, F_n) and lam = dt/dx, column sums of u1) from the column
+    sums ``s0`` of u0, in floats, in numpy's order and with its x / 0."""
+    s1 = _sums(u1)
+    budget = totals([b - a + lam * (r - l) for a, b, l, r in zip(s0, s1, *f)])
+    denom = totals(_sums(np.abs(u1)))
     # momentum can sum to ~0 at rest; floor it with the
     # dimensionally matching scale sqrt(mass * energy)
-    denom[-2] = max(denom[-2], np.sqrt(sum(denom[:-2]) * denom[-1]))
-    return float(np.maximum.reduce(np.abs(budget) / denom))
+    denom[-2] = max(denom[-2], math.sqrt(sum(denom[:-2]) * denom[-1]))
+    defect = 0.0
+    for b, d in zip(budget, denom):
+        defect = _nan_max(defect, abs(b) / d if d else abs(b) * math.inf)
+    return defect, s1
 
 
 def _faces(model, wg, half_lam, first_order):
@@ -277,29 +295,26 @@ def _faces(model, wg, half_lam, first_order):
     return [getattr(rec, f) for f in model.face_fields], rec.n_fallback
 
 
-def _step(model, u, w, dt, dx, bc, first_order):
-    """Advance conserved cells ``u`` with primitives ``w`` by ``dt``.
+def _step(model, u, w, sums, dt, dx, bc, first_order):
+    """Advance ``u``, with primitives ``w`` and column sums ``sums``, by dt.
 
     Ghost cells are filled on the primitives: a reflective wall only
     negates the velocity slots, so this equals recovering primitives from
-    ghosted conserved states.  Returns (u_new, w_new, conservation defect,
-    positivity fallbacks, alpha clamps); w_new is the end-of-step recovery
-    that also checks u_new for admissibility.
+    ghosted conserved states.  Returns (u_new, w_new, column sums of
+    u_new, conservation defect, positivity fallbacks, alpha clamps); w_new
+    is the end-of-step recovery that also checks u_new for admissibility.
     """
-    n = len(w)
+    n, k = w.shape
     half_lam = 0.5 * dt / dx
     fallbacks = 0
-    # faces [a, b) read cells a-2..b: a view of w, padded with the ghost
-    # cells where it touches a mesh end (the ghosted mesh for one block)
+    # faces [a, b) read cells a-2..b: one contiguous copy of them, padded
+    # with the ghost cells where it touches a mesh end
     g = _ghosts(w, bc, model.velocity_slots)
     for a in range(0, n + 1, _BLOCK_FACES):
         b = min(a + _BLOCK_FACES, n + 1)
-        if a < 2 or b >= n:
-            cells = np.concatenate(
-                (g[a:2], w[max(a - 2, 0):b + 1], g[2:max(b + 3 - n, 2)]),
-                out=_euler._component_major(np.empty((w.shape[1], b - a + 3))))
-        else:
-            cells = w[a - 2:b + 1]
+        cells = np.concatenate(
+            (g[a:2], w[max(a - 2, 0):b + 1], g[2:max(b + 3 - n, 2)]),
+            out=_euler._buffer(model.scratch, "cells", (b - a + 3, k)))
         block, n_fb = _faces(model, cells, half_lam, first_order)
         fallbacks += n_fb
         if a == 0:
@@ -316,11 +331,11 @@ def _step(model, u, w, dt, dx, bc, first_order):
     np.subtract(u, out, out=out)
     if model.increment is not None:
         model.increment(out, w, faces[1:], dt, dx)
-    f, faces = f[::n].copy(), None  # keep the end fluxes
-    defect = _defect(model.totals, u, out, f, lam)  # |out| before w_out
+    f, faces = f[::n].tolist(), None  # keep the end fluxes
+    defect, sums = _defect(model.totals, sums, out, f, lam)  # before w_out
     w_out = model.to_prim(out)
     clamps = model.clamps(out) if model.clamps is not None else 0
-    return out, w_out, defect, fallbacks, clamps
+    return out, w_out, sums, defect, fallbacks, clamps
 
 
 def run(case):
@@ -339,6 +354,7 @@ def run(case):
                                np.asarray(case.left, float)[None, :],
                                np.asarray(case.right, float)[None, :]))
     w = model.to_prim(u)
+    sums = _sums(u)  # carried from step to step until a source changes u
 
     # + 0.0 makes an output time of -0.0 the snapshot time 0.0
     out_times = sorted({t + 0.0 for t in (*case.output_times, case.end_time)})
@@ -356,8 +372,8 @@ def run(case):
             for attempt in range(12):
                 try:
                     # binds u and w only once the step has succeeded
-                    u, w, defect, fallbacks, clamps = _step(
-                        model, u, w, dt, dx, case.boundary, first_order)
+                    u, w, sums, defect, fallbacks, clamps = _step(
+                        model, u, w, sums, dt, dx, case.boundary, first_order)
                     break
                 except (EosDomainError, PositivityError,
                         DegenerateFanError) as err:
@@ -374,6 +390,7 @@ def run(case):
                 state = [u, w]
                 del u, w  # the sources free each array once it is replaced
                 u, w, report = model.sources(state, dt)
+                sums = _sums(u)
                 if report is not None:
                     n_bisect += report.iterations > 0
                     max_residual = _nan_max(max_residual, report.residual)

@@ -89,14 +89,15 @@ def _covolume_factor(eos, rho):
 
 # With b = 0 the covolume factor is exactly 1, so the functions below skip
 # it: its check cannot fire and multiplying or dividing by 1.0 is exact.
+# With p_inf = 0 they skip its term: x - 0.0 is x, and so is x + 0.0 but at
+# x = -0.0, whose e and c^2 stay -0.0 (the same 0.5 u^2 + e, the same error).
 
 def pressure(eos, rho, e, out=None):
     """Pressure from density and specific internal energy [Pa], into out."""
-    rho = np.asarray(rho, float)
     p = np.multiply(np.multiply(eos.gamma - 1.0, rho, out=out), e, out=out)
     if eos.b:
         p = np.divide(p, _covolume_factor(eos, rho), out=out)
-    return np.subtract(p, eos.gamma * eos.p_inf, out=out)
+    return np.subtract(p, eos.gamma * eos.p_inf, out=out) if eos.p_inf else p
 
 
 def internal_energy(eos, rho, p):
@@ -104,18 +105,18 @@ def internal_energy(eos, rho, p):
 
     Exact analytic inverse of :func:`pressure`.
     """
-    rho = np.asarray(rho, float)
-    num = np.asarray(p, float) + eos.gamma * eos.p_inf
+    num = (np.add(p, eos.gamma * eos.p_inf) if eos.p_inf
+           else np.asarray(p, float))
     if eos.b:
         num = num * _covolume_factor(eos, rho)
-    return num / ((eos.gamma - 1.0) * rho)
+    return num / np.multiply(eos.gamma - 1.0, rho)
 
 
 def _sound_speed_sq(eos, rho, p):
     """Checked squared sound speed; NASG has the factor 1/(1 - rho b)."""
-    rho = np.asarray(rho, float)
     den = rho * _covolume_factor(eos, rho) if eos.b else rho
-    c2 = eos.gamma * (np.asarray(p, float) + eos.p_inf) / den
+    pi = np.add(p, eos.p_inf) if eos.p_inf else np.asarray(p, float)
+    c2 = eos.gamma * pi / den
     if np.count_nonzero(c2 <= 0.0):
         raise EosDomainError(
             f"non-positive squared sound speed (min c^2 = "

@@ -65,10 +65,14 @@ class EulerFan:
     n_fallback: int = 0
 
 
+# by ndim, the axis orders of _component_major and of _rows
+_AXES = tuple(((*range(1, n), 0), (n - 1, *range(n - 1))) for n in range(65))
+
+
 def _component_major(a):
     """View ``a``, of shape (k,) + shape, as shape + (k,): the layout of
     every state array, in which each component is one contiguous block."""
-    return a.T if a.ndim == 2 else a.transpose(*range(1, a.ndim), 0)
+    return a.transpose(_AXES[a.ndim][0])
 
 
 def _rows(out, shape):
@@ -76,7 +80,7 @@ def _rows(out, shape):
     is None, of a new component-major array of ``shape`` = (..., k)."""
     if out is None:
         return np.empty(shape[-1:] + shape[:-1])
-    return out.T if out.ndim == 2 else out.transpose(-1, *range(out.ndim - 1))
+    return out.transpose(_AXES[out.ndim][1])
 
 
 def _buffer(scratch, role, shape):
@@ -84,9 +88,10 @@ def _buffer(scratch, role, shape):
     the one that the per-run store ``scratch`` keeps for ``role``."""
     if scratch is None:
         return _component_major(_rows(None, shape))
-    if (role, shape) not in scratch:
-        scratch[role, shape] = _buffer(None, role, shape)
-    return scratch[role, shape]
+    buf = scratch.get((role, shape))
+    if buf is None:
+        buf = scratch[role, shape] = _buffer(None, role, shape)
+    return buf
 
 
 def _stack_last(columns):
@@ -189,21 +194,22 @@ def rusanov_flux(wl, wr, eos):
     """Rusanov fan without contact or star states: its flux takes S =
     max(|u| + c) over both states, which is max(-S_L, S_R) of the Davis
     bounds."""
-    _, (ul, ur), (fl, fr), _, s_l, s_r = _sides(wl, wr, eos)
+    _, uc, f, _, s_l, s_r = _sides(wl, wr, eos)
     s = np.maximum(-s_l, s_r)[..., None]
-    flux = 0.5 * (fr + fl - s * (ur - ul))
+    flux = 0.5 * (f[1] + f[0] - s * (uc[1] - uc[0]))
     return EulerFan(s_l, None, s_r, None, None, flux)
 
 
-def _star_flux(u_star_l, u_star_r, ul, ur, fl, fr, s_l, s_m, s_r, out=None):
-    """Star flux F + S (U* - U) of the side of S_M each face is on (the
-    left side at S_M = 0), selecting that side's arrays first; into ``out``."""
+def _star_flux(u_star_l, u_star_r, uc, f, s_l, s_m, s_r, out=None):
+    """Star flux F + S (U* - U) of each face's side of S_M (the left one at
+    S_M = 0), selected from the side batches ``uc`` and ``f``; into ``out``."""
     left = (s_m >= 0.0)[..., None]
-    star = np.where(left, u_star_l, u_star_r)
-    out = np.subtract(star, np.where(left, ul, ur),
-                      out=star if out is None else out)
+    single = u_star_l is u_star_r  # one star state array: nothing to select
+    star = u_star_l if single else np.where(left, u_star_l, u_star_r)
+    out = np.subtract(star, np.where(left, uc[0], uc[1]),
+                      out=star if out is None and not single else out)
     out *= np.where(left[..., 0], s_l, s_r)[..., None]
-    out += np.where(left, fl, fr)
+    out += np.where(left, f[0], f[1])
     return out
 
 
@@ -216,7 +222,7 @@ def _sides(wl, wr, eos):
     uc, f = cons_and_flux(w, eos)
     c = np.sqrt(c2)
     lo, hi = w[..., 1] - c, w[..., 1] + c
-    return w, uc, f, c2, np.minimum(*lo), np.maximum(*hi)
+    return w, uc, f, c2, np.minimum(lo[0], lo[1]), np.maximum(hi[0], hi[1])
 
 
 def _fan_common(wl, wr, eos):
@@ -227,7 +233,7 @@ def _fan_common(wl, wr, eos):
 
 def _build_fan(uc, f, u_star_l, u_star_r, s_l, s_m, s_r, n_fallback=0):
     """F_L where S_L >= 0, F_R where S_R <= 0, else the star flux."""
-    flux = _star_flux(u_star_l, u_star_r, *uc, *f, s_l, s_m, s_r)
+    flux = _star_flux(u_star_l, u_star_r, uc, f, s_l, s_m, s_r)
     for sup, side in ((s_l >= 0.0, f[0]), (s_r <= 0.0, f[1])):
         if np.count_nonzero(sup):
             np.copyto(flux, side, where=sup[..., None])
@@ -280,25 +286,26 @@ def rsir_flux(wl, wr, eos, beta):
     the HLL (beta = 0) star state and are counted in ``n_fallback``.
     """
     _check_beta(beta)
-    w, uc, f, (cl2, cr2), u_hll, s_l, s_m, s_r = _fan_common(wl, wr, eos)
+    w, uc, f, c2, u_hll, s_l, s_m, s_r = _fan_common(wl, wr, eos)
     om_l, om_r = _weights(s_l, s_m, s_r)
-    rho_l, rho_r = w[..., 0]
-    p_l, p_r = w[..., 2]
+    rho_l, rho_r, cl2 = w[0, ..., 0], w[1, ..., 0], c2[0]
+    p_l, p_r, cr2 = w[0, ..., 2], w[1, ..., 2], c2[1]
     psi = beta * (rho_r - rho_l + (p_l - p_r) / (0.5 * (cl2 + cr2)))
     lam_e = 0.5 * s_m * s_m
-    bad = False
     if eos.b:
         rho_star_l = u_hll[..., 0] - om_r * psi
         rho_star_r = u_hll[..., 0] + om_l * psi
         p_star = 0.5 * (p_l + cl2 * (rho_star_l - rho_l)
                         + p_r + cr2 * (rho_star_r - rho_r))
-        bad = ((p_star + eos.p_inf <= 0.0) | (rho_star_l * eos.b >= 1.0)
-               | (rho_star_r * eos.b >= 1.0))
+        saturated = ((p_star + eos.p_inf <= 0.0) | (rho_star_l * eos.b >= 1.0)
+                     | (rho_star_r * eos.b >= 1.0))
         lam_e -= eos.b * (p_star + eos.gamma * eos.p_inf) / (eos.gamma - 1.0)
     jump = _stack_last((psi, psi * s_m, psi * lam_e))
     u_star_l = u_hll - om_r[..., None] * jump
     u_star_r = u_hll + om_l[..., None] * jump
-    bad = bad | (u_star_l[..., 0] <= 0.0) | (u_star_r[..., 0] <= 0.0)
+    bad = (u_star_l[..., 0] <= 0.0) | (u_star_r[..., 0] <= 0.0)
+    if eos.b:
+        bad |= saturated
     n_fallback = int(np.count_nonzero(bad))
     if n_fallback:
         u_star_l[bad] = u_hll[bad]

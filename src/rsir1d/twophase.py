@@ -197,7 +197,7 @@ def _bounds(w, eos2):
     c2 = _eos.sound_speed(eos2, w[..., 4], w[..., 6])
     lo = np.minimum(w[..., 2], w[..., 5] - c2)
     hi = np.maximum(w[..., 2], w[..., 5] + c2)
-    return np.minimum(*lo), np.maximum(*hi)
+    return np.minimum(lo[0], lo[1]), np.maximum(hi[0], hi[1])
 
 
 def tp_wave_bounds(wl, wr, eos2):
@@ -356,8 +356,8 @@ def _tp_build_fan(w, v, phi, fan, scratch):
     from the star flux of the face's side of the phase-1 contact, or a
     side's own F-flux at a supersonic face."""
     s_l, s_r = fan.s_l, fan.s_r
-    flux = _star_flux(fan.u_star_l, fan.u_star_r, *v, *phi, s_l, fan.s_m1,
-                      s_r, _buffer(scratch, "star flux", v.shape[1:]))
+    flux = _star_flux(fan.u_star_l, fan.u_star_r, v, phi, s_l, fan.s_m1, s_r,
+                      _buffer(scratch, "star flux", v.shape[1:]))
     # the HLL state's volume fraction, sampled in the supersonic branches
     a1_face = fan.u_hll[..., 0]
     _f_from_phi(flux, fan.p_i, a1_face)

@@ -243,3 +243,14 @@ def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
          "--out", str(tmp_path)], capsys)
     assert code == 1 and not out
     assert err.startswith("error: MemoryError: ") and err.count("\n") == 1
+
+
+def test_config_file_error_names_the_file(tmp_path, capsys):
+    """A config file's own ConfigError names the file, as an undecodable
+    byte in it does, not the generic source "config"."""
+    path = tmp_path / "x.cfg"
+    path.write_text("model = euler\nfoo = 1\n")
+    code, _, err = run_cli(["run", str(path), "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert err == f"error: {path} line 2 ('foo = 1'): unknown key 'foo'\n"
+    assert os.listdir(tmp_path) == ["x.cfg"]

@@ -151,13 +151,14 @@ def test_periodic_advection_returns_home():
     model = driver._euler_model(case)
     u = model.to_cons(w0)
     w = model.to_prim(u)
+    sums = driver._sums(u)
     dt_total = 1.0 / 100.0  # one period
     t = 0.0
     while t < dt_total * (1 - 1e-12):
         dt = min(driver.cfl_dt(model.max_speed(w), mesh.dx, 0.5),
                  dt_total - t)
-        u, w, _, _, _ = driver._step(model, u, w, dt, mesh.dx, "periodic",
-                                     False)
+        u, w, sums, _, _, _ = driver._step(model, u, w, sums, dt, mesh.dx,
+                                           "periodic", False)
         t += dt
     # the carried primitives are the recovery of the final state
     assert np.array_equal(w, model.to_prim(u))
@@ -451,14 +452,19 @@ def test_defect_from_column_sums_matches_the_cell_totals(monkeypatch, name):
     """The audit from one column sum per array equals the one that sums
     the audited combinations cell by cell: bitwise for Euler, within
     1e-15 for the two-phase model, on every step of a run."""
-    original = driver._defect
-    seen = []
+    original, step = driver._defect, driver._step
+    seen, steps = [], []
 
-    def defect(totals, u0, u1, f, lam):
-        value = original(totals, u0, u1, f, lam)
-        seen.append((value, u0, u1, f, lam))
+    def recording_step(model, u, *args):
+        steps.append(u)
+        return step(model, u, *args)
+
+    def defect(totals, s0, u1, f, lam):
+        value = original(totals, s0, u1, f, lam)
+        seen.append((value[0], steps[-1], u1, np.array(f), lam))
         return value
 
+    monkeypatch.setattr(driver, "_step", recording_step)
     monkeypatch.setattr(driver, "_defect", defect)
     driver.run(cases.builtin_case(name))
     assert seen
@@ -470,6 +476,60 @@ def test_defect_from_column_sums_matches_the_cell_totals(monkeypatch, name):
         else:
             ref = _defect_from_cell_totals(_tp_cell_totals, u0, u1, f, lam)
             assert abs(value - ref) <= 1e-15
+
+
+def _checking_carried_sums(monkeypatch):
+    """Make ``_step`` check that the column sums it is handed are a fresh
+    reduction of its ``u``, bitwise; returns the list of checked calls."""
+    step, checked = driver._step, []
+
+    def checking(model, u, w, sums, *args):
+        fresh = np.add.reduce(u, axis=0)
+        assert np.array(sums).tobytes() == fresh.tobytes()
+        checked.append(len(u))
+        return step(model, u, w, sums, *args)
+
+    monkeypatch.setattr(driver, "_step", checking)
+    return checked
+
+
+@pytest.mark.parametrize("name, failing_call", [
+    ("euler-shock-tube", None), ("tp-shock-tube", None),
+    ("euler-shock-tube", 4)])
+def test_carried_column_sums_are_fresh_on_every_step(monkeypatch, name,
+                                                     failing_call):
+    """The column sums that a step carries over, or that the run takes
+    again after the relaxation source and keeps through a rejected
+    attempt, equal a fresh reduction of the state, bit for bit."""
+    case = cases.builtin_case(name)
+    checked = _checking_carried_sums(monkeypatch)
+    if failing_call is None:
+        m = driver.run(case).manifest
+        assert m["dt_rejections"] == 0
+        assert case.pressure_relax == (case.model == "two-phase")
+    else:
+        m = _run_failing_once(monkeypatch, replace(case, n_cells=24),
+                              failing_call)[0].manifest
+        assert m["dt_rejections"] == 1
+    assert len(checked) == m["steps"] + m["dt_rejections"] > 2
+
+
+@pytest.mark.parametrize("s0, u1, want", [
+    ((np.nan, 4.0, 4.0), np.ones((4, 3)), "nan"),
+    ((1.0, 1.0, 2.0), np.repeat([[0.0, 0.0, 0.5]], 4, axis=0), "inf"),
+    ((0.0, 0.0, 0.0), np.zeros((4, 3)), "nan")])
+def test_defect_keeps_a_nan_and_divides_by_zero_as_numpy(s0, u1, want):
+    """``_defect`` runs before the recovery's checks: a NaN budget gives
+    NaN, and a zero denominator gives numpy's inf or nan, not an
+    exception."""
+    f = np.zeros((2, 3))
+    with np.errstate(all="raise"):
+        value, s1 = driver._defect(lambda s: s, list(s0), u1, f.tolist(), 0.1)
+    assert s1 == np.add.reduce(u1, axis=0).tolist()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ref = _defect_from_cell_totals(lambda u: np.sum(u, axis=0),
+                                       np.array([s0]), u1, f, 0.1)
+    assert repr(value) == repr(ref) == want
 
 
 def _assert_same_run(res, ref):
@@ -526,6 +586,49 @@ def test_blocked_step_equals_one_block(monkeypatch, case):
     for size in (1, 2, 7, case.n_cells - 8):
         monkeypatch.setattr(driver, "_BLOCK_FACES", size)
         _assert_same_run(driver.run(case), ref)
+
+
+def _predict_by_slices(model, wg, half_lam):
+    """The predictor on 2-D slices of ``wg``, written out as the
+    reference of the flat stencil."""
+    d = wg[1:] - wg[:-1]
+    a, b = d[:-1], d[1:]
+    half = np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), 0.0))
+    half *= 0.5
+    wc = wg[1:-1]
+    ue, fe = model.edge(np.stack((wc - half, wc + half)), wc, (None, None))
+    we = model.to_prim(ue - (fe[1] - fe[0]) * half_lam)
+    return we[0], we[1]
+
+
+@pytest.mark.parametrize("name", ["euler-shock-tube", "tp-shock-tube-long"])
+@pytest.mark.parametrize("bc", ["transmissive", "reflective", "periodic"])
+@pytest.mark.parametrize("block", [None, 7])
+def test_flat_predictor_equals_the_slice_predictor(monkeypatch, name, bc,
+                                                   block):
+    """``_predict`` equals the predictor on 2-D slices bit for bit, for
+    both models and every boundary, on one block and on edge and interior
+    blocks of 7 faces."""
+    case = replace(cases.builtin_case(name), n_cells=24, boundary=bc,
+                   end_time=1e-4, output_times=())
+    if case.model == "two-phase":  # moving fluid in the ghost cells
+        case = replace(case, left=(0.2, 1000.0, 20.0, 1e6, 10.0, 30.0, 1e6),
+                       right=(0.1, 1000.0, -10.0, 1e5, 1.0, -40.0, 1e5))
+    if block is not None:
+        monkeypatch.setattr(driver, "_BLOCK_FACES", block)
+    predict, sizes = driver._predict, []
+
+    def checked(model, wg, half_lam):
+        ref = _predict_by_slices(model, wg.copy(), half_lam)
+        got = predict(model, wg, half_lam)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(got, ref))
+        sizes.append(len(wg))
+        return got
+
+    monkeypatch.setattr(driver, "_predict", checked)
+    driver.run(case)
+    per_step = [block + 3] * 3 + [7] if block else [case.n_cells + 4]
+    assert sizes[:len(per_step)] == per_step
 
 
 def _run_failing_once(monkeypatch, case, failing_call):

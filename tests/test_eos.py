@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from rsir1d import eos
+from rsir1d import eos, euler, twophase
 
 
 def test_presets_exist():
@@ -92,3 +95,72 @@ def test_entropy_constant_on_isentrope(rng):
 def test_entropy_increases_with_pressure_at_fixed_density():
     air = eos.preset("air-ideal")
     assert eos.entropy(air, 1.0, 2e5) > eos.entropy(air, 1.0, 1e5)
+
+
+AIR = eos.preset("air-ideal")
+FINITE = st.floats(allow_nan=False, allow_infinity=False)  # +-0, subnormals
+DENSITY = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+ZERO_P_INF = settings(max_examples=300, deadline=None, derandomize=True,
+                      database=None)
+
+
+def _is_minus_zero(x):
+    return x == 0.0 and np.signbit(x)
+
+
+@ZERO_P_INF
+@given(DENSITY, FINITE, FINITE)
+@example(1.0, -0.0, -0.0)
+@example(1.2, 5e-324, -5e-324)
+@example(5e-324, 1.0, -0.0)
+def test_zero_p_inf_terms_are_skipped_exactly(rho, e, p):
+    """With p_inf = 0 the EOS skips its p_inf terms.  The pressure equals
+    the written-out formula bit for bit; e and c^2 differ from it only at
+    p = -0.0, where e is -0.0 instead of +0.0 and the c^2 error quotes
+    -0.0."""
+    g, pi = AIR.gamma, AIR.p_inf
+    assert pi == 0.0 and AIR.b == 0.0
+    rho, e, p = (np.array([x]) for x in (rho, e, p))
+    with np.errstate(all="ignore"):
+        want_p = (g - 1.0) * rho * e - g * pi
+        want_e = (p + g * pi) / ((g - 1.0) * rho)
+        want_c2 = g * (p + pi) / rho
+        assert eos.pressure(AIR, rho, e).tobytes() == want_p.tobytes()
+        got_e = eos.internal_energy(AIR, rho, p)
+        if _is_minus_zero(p[0]) and want_e[0] == 0.0:
+            assert _is_minus_zero(got_e[0]) and not np.signbit(want_e[0])
+        else:
+            assert got_e.tobytes() == want_e.tobytes()
+        if want_c2[0] > 0.0:
+            got_c2 = eos._sound_speed_sq(AIR, rho, p)
+            assert got_c2.tobytes() == want_c2.tobytes()
+        else:
+            quoted = ("-0.0" if _is_minus_zero(p[0])
+                      else repr(float(want_c2[0])))
+            with pytest.raises(eos.EosDomainError,
+                               match=re.escape(f"(min c^2 = {quoted})")):
+                eos._sound_speed_sq(AIR, rho, p)
+
+
+@ZERO_P_INF
+@given(DENSITY, FINITE, st.floats(0.0, 1.0, exclude_min=True,
+                                  exclude_max=True))
+@example(1.2, -0.0, 0.5)
+def test_conserved_states_at_zero_pressure_keep_their_bits(rho, u, a1):
+    """The sign of a zero pressure changes no conserved state: the energy
+    0.5 u^2 + e turns e = -0.0 into the same +0.0 as the written-out
+    formula gives, for Euler and for the ideal carrier of the two-phase
+    model."""
+    g = AIR.gamma
+    water = eos.preset("water-sg")
+    rho, u = np.float64(rho), np.float64(u)
+    with np.errstate(all="ignore"):
+        e = (0.0 + g * AIR.p_inf) / ((g - 1.0) * rho)
+        want = np.array([[rho, rho * u, (0.5 * u * u + e) * rho]])
+        tp = []
+        for p in (0.0, -0.0):
+            got = euler.cons_from_prim(np.array([[rho, u, p]]), AIR)
+            assert got.tobytes() == want.tobytes()
+            w = np.array([[a1, 1000.0, 2.0, 1e5, rho, u, p]])
+            tp.append(twophase.tp_cons_from_prim(w, water, AIR).tobytes())
+    assert tp[0] == tp[1]
