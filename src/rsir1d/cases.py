@@ -11,7 +11,6 @@ import numpy as np
 
 from . import driver as _driver
 from . import eos as _eos
-from . import euler as _euler
 from . import exact_riemann as _exact
 
 __all__ = [
@@ -96,10 +95,20 @@ class CaseConfig:
                 raise ConfigError(
                     "pressure relaxation and solver rsir-tp need SG/ideal "
                     f"phases (covolume b = 0), got {', '.join(nasg)} (NASG)")
-            for side, st in (("left", self.left), ("right", self.right)):
-                if not 0.0 < st[0] < 1.0:
+        # (density slot, pressure slot, EOS) of each phase
+        phases = ([(0, 2, self.eos1)] if self.model == "euler"
+                  else [(1, 3, self.eos1), (4, 6, self.eos2)])
+        for side, st in (("left", self.left), ("right", self.right)):
+            if self.model == "two-phase" and not 0.0 < st[0] < 1.0:
+                raise ConfigError(
+                    f"state.{side} volume fraction must lie in (0, 1)")
+            for r, p, e in phases:
+                if not (st[r] > 0.0 and st[r] * e.b < 1.0
+                        and st[p] > -e.p_inf):
                     raise ConfigError(
-                        f"state.{side} volume fraction must lie in (0, 1)")
+                        f"state.{side} lies outside the EOS domain (need rho "
+                        f"> 0, rho b < 1, p > -p_inf), got rho {st[r]!r}, p "
+                        f"{st[p]!r}")
         if self.end_time <= 0.0:
             raise ConfigError("time.end must be positive")
         if not all(0.0 <= t <= self.end_time for t in self.output_times):

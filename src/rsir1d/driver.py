@@ -130,22 +130,29 @@ def _scratch(case):
     return {} if case.n_cells + 1 <= _BLOCK_FACES else None
 
 
-def _euler_flux_fn(solver, eos, beta):
-    if solver == "rusanov":
-        return lambda wl, wr: _euler.rusanov_flux(wl, wr, eos)
-    if solver == "hll":
-        return lambda wl, wr: _euler.hll_flux(wl, wr, eos)
-    if solver == "hllc":
-        return lambda wl, wr: _euler.hllc_flux(wl, wr, eos)
-    if solver == "linde":
-        return lambda wl, wr: _euler.linde_flux(wl, wr, eos, beta)
-    if solver == "rsir":
-        return lambda wl, wr: _euler.rsir_flux(wl, wr, eos, beta)
-    raise ValueError(f"unknown Euler solver {solver!r}")
+def _flux_fn(case, scratch):
+    """The interface flux (wl, wr) -> face record of the case's solver; the
+    kernel is looked up through its module when the run starts."""
+    e1, e2, beta = case.eos1, case.eos2, case.beta
+    kernels = {
+        "rusanov": (_euler.rusanov_flux, e1), "hll": (_euler.hll_flux, e1),
+        "hllc": (_euler.hllc_flux, e1), "linde": (_euler.linde_flux, e1, beta),
+        "rsir": (_euler.rsir_flux, e1, beta),
+    } if case.model == "euler" else {
+        "rusanov-basic": (_tp.rusanov_basic_flux, e1, e2, scratch),
+        "rusanov-local": (_tp.rusanov_local_flux, e1, e2, scratch),
+        "hll-tp": (_tp.tp_hll_flux, e1, e2, scratch),
+        "rsir-tp": (_tp.rsir_tp_flux, e1, e2, beta, scratch),
+    }
+    if case.solver not in kernels:
+        raise ValueError(f"unknown {case.model} solver {case.solver!r}")
+    flux, *args = kernels[case.solver]
+    return lambda wl, wr: flux(wl, wr, *args)
 
 
 def _euler_model(case):
     eos = case.eos1
+    scratch = _scratch(case)
 
     def max_speed(w):
         c = _eos.sound_speed(eos, w[..., 0], w[..., 2])
@@ -156,19 +163,8 @@ def _euler_model(case):
         to_cons=lambda w: _euler.cons_from_prim(w, eos),
         to_prim=lambda u, out=None: _euler.prim_from_cons(u, eos, out),
         edge=lambda we, w, out: _euler.cons_and_flux(we, eos, out),
-        flux=_euler_flux_fn(case.solver, eos, case.beta),
-        max_speed=max_speed, totals=lambda s: s, scratch=_scratch(case))
-
-
-def _tp_flux_fn(solver, eos1, eos2, beta, scratch):
-    if solver == "rsir-tp":
-        return lambda wl, wr: _tp.rsir_tp_flux(wl, wr, eos1, eos2, beta,
-                                               scratch)
-    flux = {"rusanov-basic": _tp.rusanov_basic_flux, "hll-tp": _tp.tp_hll_flux,
-            "rusanov-local": _tp.rusanov_local_flux}.get(solver)
-    if flux is None:
-        raise ValueError(f"unknown two-phase solver {solver!r}")
-    return lambda wl, wr: flux(wl, wr, eos1, eos2, scratch)
+        flux=_flux_fn(case, scratch),
+        max_speed=max_speed, totals=lambda s: s, scratch=scratch)
 
 
 def _tp_model(case):
@@ -224,7 +220,7 @@ def _tp_model(case):
         to_cons=lambda w: _tp.tp_cons_from_prim(w, eos1, eos2),
         to_prim=lambda u, out=None: _tp.tp_prim_from_cons(u, eos1, eos2, out),
         edge=edge,
-        flux=_tp_flux_fn(case.solver, eos1, eos2, case.beta, scratch),
+        flux=_flux_fn(case, scratch),
         max_speed=max_speed, totals=totals, increment=increment,
         face_fields=("flux", "alpha_face", "phi_alpha_face"),
         clamps=_tp.alpha_clamps,

@@ -37,28 +37,24 @@ class ExactSolution:
 
 
 def _side_function(p, w, eos):
-    """Pressure function f_K(p) and its derivative for one side."""
+    """Pressure function f_K(p), its derivative and the star density
+    rho*_K for one side: a shock if pi > pi_K, else a rarefaction."""
     g = eos.gamma
     rho, _, pk = w
     pi_k = pk + eos.p_inf
     pi = p + eos.p_inf
-    c = np.sqrt(g * pi_k / rho)
-    if pi > pi_k:  # shock
+    if pi > pi_k:  # shock, Rankine-Hugoniot density
         a = 2.0 / ((g + 1.0) * rho)
         b = (g - 1.0) / (g + 1.0) * pi_k
         q = np.sqrt(a / (pi + b))
         f = (pi - pi_k) * q
         df = q * (1.0 - 0.5 * (pi - pi_k) / (pi + b))
-    else:  # rarefaction
-        f = 2.0 * c / (g - 1.0) * ((pi / pi_k) ** ((g - 1.0) / (2.0 * g)) - 1.0)
-        df = (pi / pi_k) ** (-(g + 1.0) / (2.0 * g)) / (rho * c)
-    return f, df
-
-
-def _pressure_residual(p, wl, wr, eos):
-    fl, _ = _side_function(p, wl, eos)
-    fr, _ = _side_function(p, wr, eos)
-    return fl + fr + (wr[1] - wl[1])
+        gr = (g - 1.0) / (g + 1.0)
+        return f, df, rho * (pi / pi_k + gr) / (gr * pi / pi_k + 1.0)
+    c = np.sqrt(g * pi_k / rho)
+    f = 2.0 * c / (g - 1.0) * ((pi / pi_k) ** ((g - 1.0) / (2.0 * g)) - 1.0)
+    df = (pi / pi_k) ** (-(g + 1.0) / (2.0 * g)) / (rho * c)
+    return f, df, rho * (pi / pi_k) ** (1.0 / g)
 
 
 def solve_exact(wl, wr, eos):
@@ -83,53 +79,40 @@ def solve_exact(wl, wr, eos):
              / (cl / pi_l**z + cr / pi_r**z)) ** (1.0 / z)
     p = max(pi_tr - eos.p_inf, -eos.p_inf + 1e-12 * max(pi_l, pi_r))
 
-    tol = 1e-12 * max(p_l, p_r, 1.0)
+    tol, res_tol = 1e-12 * max(p_l, p_r, 1.0), 1e-10 * max(p_l, p_r, 1.0)
     # bisection bracket, expanded until the residual changes sign
     p_lo = -eos.p_inf + 1e-12 * max(pi_l, pi_r)
     p_hi = max(p_l, p_r)
-    while _pressure_residual(p_hi, wl, wr, eos) < 0.0:
+    while (_side_function(p_hi, wl, eos)[0] + _side_function(p_hi, wr, eos)[0]
+           + (u_r - u_l)) < 0.0:
         p_hi = 2.0 * p_hi + max(pi_l, pi_r)
 
-    converged = False
-    res = np.inf
     for it in range(1, _MAX_ITER + 1):
-        fl, dfl = _side_function(p, wl, eos)
-        fr, dfr = _side_function(p, wr, eos)
+        fl, dfl, _ = _side_function(p, wl, eos)
+        fr, dfr, _ = _side_function(p, wr, eos)
         res = fl + fr + (u_r - u_l)
         if res > 0.0:
             p_hi = min(p_hi, p)
         else:
             p_lo = max(p_lo, p)
-        dp = res / (dfl + dfr)
-        p_new = p - dp
+        p_new = p - res / (dfl + dfr)
         if not (p_lo < p_new < p_hi):
             p_new = 0.5 * (p_lo + p_hi)
-        if abs(p_new - p) <= tol and abs(res) <= 1e-10 * max(p_l, p_r, 1.0):
-            p = p_new
-            converged = True
-            break
+        done = abs(p_new - p) <= tol and abs(res) <= res_tol
         p = p_new
-    if not converged and abs(res) > 1e-10 * max(p_l, p_r, 1.0):
-        raise RuntimeError(
-            f"exact Riemann iteration failed to converge (residual {res!r})"
-        )
+        if done:
+            break
+    else:
+        if abs(res) > res_tol:
+            raise RuntimeError("exact Riemann iteration failed to converge "
+                               f"(residual {res!r})")
 
-    u_star = 0.5 * (u_l + u_r) + 0.5 * (
-        _side_function(p, wr, eos)[0] - _side_function(p, wl, eos)[0])
-
-    def star_density(w, side):
-        rho, _, pk = w
-        pi_k = pk + eos.p_inf
-        pi = p + eos.p_inf
-        if pi > pi_k:  # shock: Rankine-Hugoniot density
-            gr = (g - 1.0) / (g + 1.0)
-            return rho * (pi / pi_k + gr) / (gr * pi / pi_k + 1.0), "shock"
-        return rho * (pi / pi_k) ** (1.0 / g), "rarefaction"
-
-    rho_star_l, wave_l = star_density(wl, "L")
-    rho_star_r, wave_r = star_density(wr, "R")
+    fl, _, rho_star_l = _side_function(p, wl, eos)
+    fr, _, rho_star_r = _side_function(p, wr, eos)
+    wave_l, wave_r = ("shock" if p + eos.p_inf > w[2] + eos.p_inf
+                      else "rarefaction" for w in (wl, wr))
     return ExactSolution(
-        p_star=float(p), u_star=float(u_star),
+        p_star=float(p), u_star=float(0.5 * (u_l + u_r) + 0.5 * (fr - fl)),
         rho_star_l=float(rho_star_l), rho_star_r=float(rho_star_r),
         wave_l=wave_l, wave_r=wave_r, wl=wl, wr=wr, eos=eos,
         residual=float(abs(res)), iterations=it,
@@ -139,61 +122,43 @@ def solve_exact(wl, wr, eos):
 def sample(sol, xi):
     """Self-similar solution at xi = x/t; vectorized over xi.
 
-    Returns primitive states of shape xi.shape + (3,).
+    Returns primitive states of shape xi.shape + (3,).  Points left of the
+    contact (xi < u*) take the left wave; the others take the right wave
+    as the left wave of the mirrored problem (u -> -u, xi -> -xi), whose
+    formulas and region bounds negate exactly in IEEE arithmetic.
     """
     xi = np.asarray(xi, dtype=float)
     eos = sol.eos
     g = eos.gamma
     out = np.empty(xi.shape + (3,), dtype=float)
-
-    rho_l, u_l, p_l = sol.wl
-    rho_r, u_r, p_r = sol.wr
-    cl = float(_eos.sound_speed(eos, rho_l, p_l))
-    cr = float(_eos.sound_speed(eos, rho_r, p_r))
-    c_star_l = float(_eos.sound_speed(eos, sol.rho_star_l, sol.p_star))
-    c_star_r = float(_eos.sound_speed(eos, sol.rho_star_r, sol.p_star))
-    pi_l, pi_r, pi_s = p_l + eos.p_inf, p_r + eos.p_inf, sol.p_star + eos.p_inf
-
-    # left wave
-    if sol.wave_l == "shock":
-        s_shock = u_l - cl * np.sqrt((g + 1.0) / (2.0 * g) * pi_s / pi_l
-                                     + (g - 1.0) / (2.0 * g))
-        head_l = tail_l = s_shock
-    else:
-        head_l = u_l - cl
-        tail_l = sol.u_star - c_star_l
-    # right wave
-    if sol.wave_r == "shock":
-        s_shock = u_r + cr * np.sqrt((g + 1.0) / (2.0 * g) * pi_s / pi_r
-                                     + (g - 1.0) / (2.0 * g))
-        head_r = tail_r = s_shock
-    else:
-        head_r = u_r + cr
-        tail_r = sol.u_star + c_star_r
-
-    # fill by region
-    out[xi <= head_l] = sol.wl
-    out[xi >= head_r] = sol.wr
-    mid_l = (xi > tail_l) & (xi < sol.u_star)
-    mid_r = (xi >= sol.u_star) & (xi < tail_r)
-    out[mid_l] = [sol.rho_star_l, sol.u_star, sol.p_star]
-    out[mid_r] = [sol.rho_star_r, sol.u_star, sol.p_star]
-    if sol.wave_l == "rarefaction":
-        fan = (xi > head_l) & (xi <= tail_l)
-        x = xi[fan]
-        c = (2.0 / (g + 1.0)) * (cl + 0.5 * (g - 1.0) * (u_l - x))
-        u = x + c
-        pi = pi_l * (c / cl) ** (2.0 * g / (g - 1.0))
-        rho = g * pi / (c * c)
-        out[fan] = np.stack([rho, u, pi - eos.p_inf], axis=-1)
-    if sol.wave_r == "rarefaction":
-        fan = (xi >= tail_r) & (xi < head_r)
-        x = xi[fan]
-        c = (2.0 / (g + 1.0)) * (cr - 0.5 * (g - 1.0) * (u_r - x))
-        u = x - c
-        pi = pi_r * (c / cr) ** (2.0 * g / (g - 1.0))
-        rho = g * pi / (c * c)
-        out[fan] = np.stack([rho, u, pi - eos.p_inf], axis=-1)
+    pi_s = sol.p_star + eos.p_inf
+    right = xi >= sol.u_star
+    for s, x, side, w, rho_star, wave in (
+            (1.0, xi, ~right, sol.wl, sol.rho_star_l, sol.wave_l),
+            (-1.0, -xi, right, sol.wr, sol.rho_star_r, sol.wave_r)):
+        rho_k, u_k, p_k = w
+        u_k = s * u_k
+        c_k = float(_eos.sound_speed(eos, rho_k, p_k))
+        pi_k = p_k + eos.p_inf
+        if wave == "shock":
+            head = tail = u_k - c_k * np.sqrt(
+                (g + 1.0) / (2.0 * g) * pi_s / pi_k + (g - 1.0) / (2.0 * g))
+        else:
+            head = u_k - c_k
+            tail = s * sol.u_star - float(
+                _eos.sound_speed(eos, rho_star, sol.p_star))
+        # data state up to the head, star state past the tail; the data
+        # and star rows are written unmirrored
+        out[side & (x <= head)] = w
+        out[side & (x > tail)] = [rho_star, sol.u_star, sol.p_star]
+        if wave == "rarefaction":
+            fan = side & (x > head) & (x <= tail)
+            xf = x[fan]
+            c = (2.0 / (g + 1.0)) * (c_k + 0.5 * (g - 1.0) * (u_k - xf))
+            pi = pi_k * (c / c_k) ** (2.0 * g / (g - 1.0))
+            # s * xf + s * c, not s * (xf + c): a sonic zero keeps its sign
+            out[fan] = np.stack([g * pi / (c * c), s * xf + s * c,
+                                 pi - eos.p_inf], axis=-1)
     return out
 
 

@@ -290,6 +290,17 @@ def test_every_key_round_trips_into_its_field(key):
     (["mesh.x_max=inf"], "mesh.x_max"),
     (["eos1.preset=air-ideal", "eos1.p_inf=nan"], "p_inf"),
     (["eos1.gamma=1.4", "eos1.b=inf"], "covolume b"),
+    # states outside the EOS domain of a phase
+    (["state.left=-1 0 1e5"], "state.left"),
+    (["state.right=0.125 0 0"], "state.right"),
+    (["eos1.preset=water-nasg", "state.left=30000 0 1e9"], "state.left"),
+    (["eos1.preset=water-sg", "state.right=1000 0 -6e8"], "state.right"),
+    (["model=two-phase", "solver=rsir-tp", "eos1.preset=water-sg",
+      "eos2.preset=air-ideal", "state.left=0.2 1000 0 1e6 10 0 -1e6",
+      "state.right=0.2 1000 0 1e6 10 0 1e5"], "state.left"),
+    (["model=two-phase", "solver=hll-tp", "eos1.preset=water-nasg",
+      "eos2.preset=air-ideal", "state.left=0.2 1000 0 1e6 10 0 1e5",
+      "state.right=0.2 20000 0 1e6 10 0 1e5"], "state.right"),
 ])
 def test_non_finite_input_is_a_config_error(overrides, key):
     """A NaN or infinite number is rejected up front; time.end = inf would

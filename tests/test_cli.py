@@ -65,6 +65,22 @@ def test_bad_override_fails_cleanly(capsys):
     assert "beta" in err
 
 
+@pytest.mark.parametrize("case, state", [
+    ("euler-shock-tube", "state.left=-1 0 1e5"),
+    ("water-nasg-shock-tube", "state.left=30000 0 1e9"),
+    ("tp-shock-tube", "state.left=0.2 1000 0 1e6 10 0 -1e6"),
+])
+def test_state_outside_the_eos_domain_fails_cleanly(tmp_path, case, state,
+                                                    capsys):
+    """A state with rho <= 0, rho b >= 1 or p <= -p_inf in any phase is
+    one error line and exit 2 before the run, not a failure inside it."""
+    code, out, err = run_cli(["run", case, "--set", state, "--out",
+                              str(tmp_path)], capsys)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "state.left" in err
+    assert err.count("\n") == 1 and not os.listdir(tmp_path)
+
+
 def test_compare_prints_table(capsys):
     code, out, _ = run_cli(
         ["compare", "euler-shock-tube", "--solvers", "hllc,rsir",

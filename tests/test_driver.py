@@ -635,10 +635,10 @@ def _run_failing_once(monkeypatch, case, failing_call):
     """Run ``case`` with its interface flux raising EosDomainError on the
     ``failing_call``-th call only."""
     calls = []
-    flux_fn = driver._euler_flux_fn
+    flux_fn = driver._flux_fn
 
-    def failing_flux_fn(solver, eos, beta):
-        flux = flux_fn(solver, eos, beta)
+    def failing_flux_fn(case, scratch):
+        flux = flux_fn(case, scratch)
 
         def wrapped(wl, wr):
             calls.append(len(wl))
@@ -647,7 +647,7 @@ def _run_failing_once(monkeypatch, case, failing_call):
             return flux(wl, wr)
         return wrapped
 
-    monkeypatch.setattr(driver, "_euler_flux_fn", failing_flux_fn)
+    monkeypatch.setattr(driver, "_flux_fn", failing_flux_fn)
     return driver.run(case), calls
 
 

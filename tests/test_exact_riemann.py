@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from rsir1d import eos as _eos
 from rsir1d import exact_riemann as ex
@@ -8,6 +9,7 @@ from conftest import random_euler_states
 AIR = _eos.preset("air-ideal")
 WATER = _eos.preset("water-sg")
 G14 = _eos.EosParams(gamma=1.4)
+FLIP = np.array([1.0, -1.0, 1.0])  # mirrors a state: u -> -u
 
 
 def test_sod_star_values():
@@ -46,8 +48,8 @@ def test_random_pairs_satisfy_jump_conditions(rng):
             sol = ex.solve_exact(a, b, AIR)
         except ex.VacuumError:
             continue
-        fl, _ = ex._side_function(sol.p_star, a, AIR)
-        fr, _ = ex._side_function(sol.p_star, b, AIR)
+        fl, _, _ = ex._side_function(sol.p_star, a, AIR)
+        fr, _, _ = ex._side_function(sol.p_star, b, AIR)
         u_from_l = a[1] - fl
         u_from_r = b[1] + fr
         assert u_from_l == pytest.approx(u_from_r, abs=1e-6 * (abs(sol.u_star) + 1.0))
@@ -118,3 +120,68 @@ def test_l1_error_zero_for_exact_field():
     w = ex.sample(sol, (x - 0.5) / t)
     assert ex.l1_error(w, sol, t, x, x0=0.5) == 0.0
     assert ex.l1_error(w[:, 0], sol, t, x, x0=0.5, component=0) == 0.0
+
+
+def _wave_bounds(sol):
+    """Heads and tails of both waves, by the oracle's own formulas."""
+    eos, g = sol.eos, sol.eos.gamma
+    out = []
+    for s, w, rho_star, wave in ((1.0, sol.wl, sol.rho_star_l, sol.wave_l),
+                                 (-1.0, sol.wr, sol.rho_star_r, sol.wave_r)):
+        c = float(_eos.sound_speed(eos, w[0], w[2]))
+        if wave == "shock":
+            out.append(w[1] - s * c * np.sqrt(
+                (g + 1.0) / (2.0 * g) * (sol.p_star + eos.p_inf)
+                / (w[2] + eos.p_inf) + (g - 1.0) / (2.0 * g)))
+        else:
+            c_star = float(_eos.sound_speed(eos, rho_star, sol.p_star))
+            out += [w[1] - s * c, sol.u_star - s * c_star]
+    return out
+
+
+@st.composite
+def _problems(draw):
+    """(eos, wl, wr) over the ranges of ``conftest.random_euler_states``
+    for air and water-SG, with |u| <= 3 c."""
+    eos = _eos.preset(draw(st.sampled_from(["air-ideal", "water-sg"])))
+
+    def state():
+        r, q, m = (draw(st.floats(0.0, 1.0)) for _ in range(3))
+        if eos.p_inf > 0.0:
+            rho, p = 800.0 + 500.0 * r, 10.0 ** (4.0 + 5.0 * q)
+        else:
+            rho, p = 10.0 ** (-1.5 + 2.5 * r), 10.0 ** (3.0 + 3.5 * q)
+        c = float(_eos.sound_speed(eos, rho, p))
+        return np.array([rho, 3.0 * (2.0 * m - 1.0) * c, p])
+    return eos, state(), state()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_problems())
+def test_mirrored_problem_gives_the_mirrored_solution(problem):
+    """Swapping the sides and negating u gives the same p*, swapped star
+    densities and waves, -u*, and the mirrored samples at -xi, bit for
+    bit. The one exception is xi = u*, which lies in the right star state
+    of both problems."""
+    eos, wl, wr = problem
+    try:
+        sol = ex.solve_exact(wl, wr, eos)
+    except ex.VacuumError:
+        reject()
+    mir = ex.solve_exact(FLIP * wr, FLIP * wl, eos)
+    assert mir.p_star == sol.p_star and mir.u_star == -sol.u_star
+    assert (mir.rho_star_l, mir.rho_star_r) == (sol.rho_star_r,
+                                                sol.rho_star_l)
+    assert (mir.wave_l, mir.wave_r) == (sol.wave_r, sol.wave_l)
+    assert (mir.residual, mir.iterations) == (sol.residual, sol.iterations)
+
+    bounds = [sol.u_star, 0.0, -0.0, *_wave_bounds(sol)]
+    span = max(abs(b) for b in bounds) + 1.0
+    xi = np.concatenate([np.linspace(-2.0 * span, 2.0 * span, 401), bounds,
+                         np.nextafter(bounds, -np.inf),
+                         np.nextafter(bounds, np.inf)])
+    got, want = ex.sample(mir, -xi), FLIP * ex.sample(sol, xi)
+    contact = xi == sol.u_star
+    assert np.array_equal(got[~contact], want[~contact])
+    assert (got[contact] == FLIP * [sol.rho_star_l, sol.u_star,
+                                    sol.p_star]).all()
