@@ -5,6 +5,7 @@ plot-script / comparison output helpers.
 
 import functools
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -60,6 +61,9 @@ class CaseConfig:
     description: str = ""
 
     def validate(self):
+        if (self.name in ("", ".", "..")
+                or os.path.basename(self.name) != self.name):
+            raise ConfigError(f"name {self.name!r} is not a file name")
         for key, (name, parse) in _KEYS.items():
             value = getattr(self, name)
             if parse in (float, _parse_floats) and not all(map(
@@ -109,6 +113,11 @@ class CaseConfig:
                         f"state.{side} lies outside the EOS domain (need rho "
                         f"> 0, rho b < 1, p > -p_inf), got rho {st[r]!r}, p "
                         f"{st[p]!r}")
+                with np.errstate(over="ignore"):
+                    energy = st[r] * (0.5 * st[r + 1] * st[r + 1]
+                                      + _eos.internal_energy(e, st[r], st[p]))
+                if not math.isfinite(energy):  # if it is, so is alpha rho E
+                    raise ConfigError(f"state.{side}: energy rho E overflows")
         if self.end_time <= 0.0:
             raise ConfigError("time.end must be positive")
         if not all(0.0 <= t <= self.end_time for t in self.output_times):
@@ -169,8 +178,7 @@ _KEYS = {
     "drag.radius": ("drag_radius", float), "drag.mu2": ("drag_mu2", float),
 }
 # "eos1.<field>" and "eos2.<field>": field -> parser
-_EOS_KEYS = {"preset": str, "gamma": float, "p_inf": float, "b": float,
-             "cv": float}
+_EOS_KEYS = {"preset": str, "gamma": float, "p_inf": float, "b": float}
 
 
 def _build_eos(d, current):
@@ -395,11 +403,12 @@ def emit_plot_script(path, csv_paths, case):
 
 
 def _reference_field(case, n_ref=2000):
-    """Reference primitives on the case mesh at the end time: exact
-    solution when one exists, otherwise a fine-mesh HLLC (or fine-mesh
-    same-model) run averaged onto the coarse mesh."""
+    """Reference primitives on the case mesh at the end time: the exact
+    solution if one exists and the boundary is transmissive, otherwise a
+    fine-mesh HLLC (or same-model) run averaged onto the coarse mesh."""
     mesh = _driver.Mesh1D(case.x_min, case.x_max, case.n_cells)
-    if case.model == "euler" and case.eos1.b == 0.0:
+    if (case.model == "euler" and case.eos1.b == 0.0
+            and case.boundary == "transmissive"):
         sol = _exact.solve_exact(case.left, case.right, case.eos1)
         return _exact.sample(
             sol, (mesh.centers - case.x_disc) / case.end_time), "exact"

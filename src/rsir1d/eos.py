@@ -37,14 +37,11 @@ class EosParams:
     gamma : ratio of specific heats, > 1
     p_inf : pressure offset [Pa], >= 0 (0 for ideal gas)
     b     : covolume [m^3/kg], >= 0 (0 for ideal gas and SG)
-    cv    : reference specific heat [J/(kg K)], only used by the
-            diagnostic entropy; never feeds any flux.
     """
 
     gamma: float
     p_inf: float = 0.0
     b: float = 0.0
-    cv: float = 1.0
 
     def __post_init__(self):
         if not self.gamma > 1.0:
@@ -53,8 +50,6 @@ class EosParams:
             raise ValueError(f"p_inf must be finite, >= 0, got {self.p_inf}")
         if not 0.0 <= self.b < np.inf:
             raise ValueError(f"covolume b must be finite, >= 0, got {self.b}")
-        if not self.cv > 0.0:
-            raise ValueError(f"cv must be > 0, got {self.cv}")
 
 
 PRESETS = {
@@ -133,9 +128,9 @@ def sound_speed(eos, rho, p):
 def entropy(eos, rho, p):
     """Diagnostic specific entropy, SG convention:
 
-        s = cv * ln((p + p_inf) * v**gamma),  v = 1/rho - b
+        s = ln((p + p_inf) * v**gamma),  v = 1/rho - b
 
-    Defined up to an additive constant; isentropes are its level sets.
+    Defined up to a factor c_v and a constant; isentropes are its level sets.
     """
     rho = np.asarray(rho, float)
     _covolume_factor(eos, rho)
@@ -144,4 +139,4 @@ def entropy(eos, rho, p):
     if np.count_nonzero(pi <= 0.0):
         raise EosDomainError(
             f"p + p_inf must be positive (min {float(np.min(pi))!r})")
-    return eos.cv * (np.log(pi) + eos.gamma * np.log(v))
+    return np.log(pi) + eos.gamma * np.log(v)

@@ -20,7 +20,7 @@ from .eos import EosDomainError
 __all__ = [
     "DegenerateFanError",
     "PositivityError",
-    "EulerFan",
+    "Fan",
     "cons_from_prim",
     "prim_from_cons",
     "physical_flux",
@@ -45,24 +45,34 @@ class PositivityError(ValueError):
 
 
 @dataclass
-class EulerFan:
-    """Per-interface record of every Euler interface solver.
+class Fan:
+    """Per-interface record of all nine interface solvers, both models.
 
-    s_l, s_m, s_r : wave speeds (s_m is None for Rusanov)
-    u_star_l, u_star_r : reconstructed star states (conserved; None for
-                         Rusanov)
-    flux : sampled interface flux
-    n_fallback : interfaces given the HLL star state because the
-                 reconstructed one was inadmissible
+    flux : sampled interface flux (two-phase: F of the non-conservative
+           form)
+    n_fallback : interfaces whose inadmissible reconstructed star state
+                 was replaced by a different HLL one
+    s_l, s_m, s_r : wave speeds; s_m, the contact that the star states
+                    straddle (phase 1's), is None for Rusanov
+    u_hll, u_star_l, u_star_r : HLL and star states (None for Rusanov)
+    alpha_face, phi_alpha_face : face values of alpha1 and of alpha1 u1
+                                 that the two-phase H-terms read
+    p_i, s_m2 : frozen interfacial pressure and carrier star velocity of
+                the two-phase model (None for Euler)
     """
 
-    s_l: np.ndarray
-    s_m: np.ndarray
-    s_r: np.ndarray
-    u_star_l: np.ndarray
-    u_star_r: np.ndarray
-    flux: np.ndarray
+    flux: np.ndarray = None
     n_fallback: int = 0
+    s_l: np.ndarray = None
+    s_m: np.ndarray = None
+    s_r: np.ndarray = None
+    u_hll: np.ndarray = None
+    u_star_l: np.ndarray = None
+    u_star_r: np.ndarray = None
+    alpha_face: np.ndarray = None
+    phi_alpha_face: np.ndarray = None
+    p_i: np.ndarray = None
+    s_m2: np.ndarray = None
 
 
 # by ndim, the axis orders of _component_major and of _rows
@@ -197,7 +207,7 @@ def rusanov_flux(wl, wr, eos):
     _, uc, f, _, s_l, s_r = _sides(wl, wr, eos)
     s = np.maximum(-s_l, s_r)[..., None]
     flux = 0.5 * (f[1] + f[0] - s * (uc[1] - uc[0]))
-    return EulerFan(s_l, None, s_r, None, None, flux)
+    return Fan(flux, s_l=s_l, s_r=s_r)
 
 
 def _star_flux(u_star_l, u_star_r, uc, f, s_l, s_m, s_r, out=None):
@@ -226,27 +236,33 @@ def _sides(wl, wr, eos):
 
 
 def _fan_common(wl, wr, eos):
+    """The side batch of each face and its HLL fan: (w, uc, f, c^2, fan),
+    where both star states of ``fan`` are its HLL state."""
     w, uc, f, c2, s_l, s_r = _sides(wl, wr, eos)
     u_hll = hll_state(uc[0], uc[1], f[0], f[1], s_l, s_r)
-    return w, uc, f, c2, u_hll, s_l, contact_speed(w[0], w[1], s_l, s_r), s_r
+    return w, uc, f, c2, Fan(s_l=s_l, s_m=contact_speed(w[0], w[1], s_l, s_r),
+                             s_r=s_r, u_hll=u_hll, u_star_l=u_hll,
+                             u_star_r=u_hll)
 
 
-def _build_fan(uc, f, u_star_l, u_star_r, s_l, s_m, s_r, n_fallback=0):
-    """F_L where S_L >= 0, F_R where S_R <= 0, else the star flux."""
-    flux = _star_flux(u_star_l, u_star_r, uc, f, s_l, s_m, s_r)
+def _build_fan(uc, f, fan):
+    """Fill in ``fan.flux``: F_L where S_L >= 0, F_R where S_R <= 0, else
+    the star flux."""
+    s_l, s_r = fan.s_l, fan.s_r
+    flux = _star_flux(fan.u_star_l, fan.u_star_r, uc, f, s_l, fan.s_m, s_r)
     for sup, side in ((s_l >= 0.0, f[0]), (s_r <= 0.0, f[1])):
         if np.count_nonzero(sup):
             np.copyto(flux, side, where=sup[..., None])
-    return EulerFan(s_l=s_l, s_m=s_m, s_r=s_r, u_star_l=u_star_l,
-                    u_star_r=u_star_r, flux=flux, n_fallback=n_fallback)
+    fan.flux = flux
+    return fan
 
 
 def hll_flux(wl, wr, eos):
     """HLL solver written as the beta = 0 member of the reconstruction
     family: both star states equal U*_HLL, fluxes through the per-wave
     Rankine-Hugoniot relations, same sampling as the two-state solvers."""
-    _, uc, f, _, u_hll, s_l, s_m, s_r = _fan_common(wl, wr, eos)
-    return _build_fan(uc, f, u_hll, u_hll, s_l, s_m, s_r)
+    _, uc, f, _, fan = _fan_common(wl, wr, eos)
+    return _build_fan(uc, f, fan)
 
 
 def _check_beta(beta):
@@ -257,12 +273,12 @@ def _check_beta(beta):
 def linde_flux(wl, wr, eos, beta):
     """Original Linde reconstruction: U_R* - U_L* = beta (U_R - U_L)."""
     _check_beta(beta)
-    _, uc, f, _, u_hll, s_l, s_m, s_r = _fan_common(wl, wr, eos)
-    om_l, om_r = _weights(s_l, s_m, s_r)
+    _, uc, f, _, fan = _fan_common(wl, wr, eos)
+    om_l, om_r = _weights(fan.s_l, fan.s_m, fan.s_r)
     jump = beta * (uc[1] - uc[0])
-    u_star_l = u_hll - om_r[..., None] * jump
-    u_star_r = u_hll + om_l[..., None] * jump
-    return _build_fan(uc, f, u_star_l, u_star_r, s_l, s_m, s_r)
+    fan.u_star_l = fan.u_hll - om_r[..., None] * jump
+    fan.u_star_r = fan.u_hll + om_l[..., None] * jump
+    return _build_fan(uc, f, fan)
 
 
 def _weights(s_l, s_m, s_r):
@@ -283,11 +299,13 @@ def rsir_flux(wl, wr, eos, beta):
     estimates p_k + c_k^2 (rho_k* - rho_k); with b = 0, rho e depends on p
     alone and the term vanishes.  Interfaces with an inadmissible star
     state (rho* <= 0; for b > 0 also p* + p_inf <= 0 or rho* b >= 1) get
-    the HLL (beta = 0) star state and are counted in ``n_fallback``.
+    the HLL (beta = 0) star state, and are counted in ``n_fallback`` if
+    that changes their star states.
     """
     _check_beta(beta)
-    w, uc, f, c2, u_hll, s_l, s_m, s_r = _fan_common(wl, wr, eos)
-    om_l, om_r = _weights(s_l, s_m, s_r)
+    w, uc, f, c2, fan = _fan_common(wl, wr, eos)
+    u_hll, s_m = fan.u_hll, fan.s_m
+    om_l, om_r = _weights(fan.s_l, s_m, fan.s_r)
     rho_l, rho_r, cl2 = w[0, ..., 0], w[1, ..., 0], c2[0]
     p_l, p_r, cr2 = w[0, ..., 2], w[1, ..., 2], c2[1]
     psi = beta * (rho_r - rho_l + (p_l - p_r) / (0.5 * (cl2 + cr2)))
@@ -301,24 +319,25 @@ def rsir_flux(wl, wr, eos, beta):
                      | (rho_star_r * eos.b >= 1.0))
         lam_e -= eos.b * (p_star + eos.gamma * eos.p_inf) / (eos.gamma - 1.0)
     jump = _stack_last((psi, psi * s_m, psi * lam_e))
-    u_star_l = u_hll - om_r[..., None] * jump
-    u_star_r = u_hll + om_l[..., None] * jump
+    fan.u_star_l = u_star_l = u_hll - om_r[..., None] * jump
+    fan.u_star_r = u_star_r = u_hll + om_l[..., None] * jump
     bad = (u_star_l[..., 0] <= 0.0) | (u_star_r[..., 0] <= 0.0)
     if eos.b:
         bad |= saturated
-    n_fallback = int(np.count_nonzero(bad))
-    if n_fallback:
+    if np.count_nonzero(bad):
+        bad &= ((u_star_l != u_hll) | (u_star_r != u_hll)).any(axis=-1)
         u_star_l[bad] = u_hll[bad]
         u_star_r[bad] = u_hll[bad]
-    return _build_fan(uc, f, u_star_l, u_star_r, s_l, s_m, s_r, n_fallback)
+    fan.n_fallback = int(np.count_nonzero(bad))
+    return _build_fan(uc, f, fan)
 
 
 def hllc_flux(wl, wr, eos):
     """Standard HLLC star states (comparison baseline)."""
-    w, uc, f, _, _, s_l, s_m, s_r = _fan_common(wl, wr, eos)
-    s = np.array((s_l, s_r))
+    w, uc, f, _, fan = _fan_common(wl, wr, eos)
+    s, s_m = np.array((fan.s_l, fan.s_r)), fan.s_m
     rho, u, p = w[..., 0], w[..., 1], w[..., 2]
     fac = rho * (s - u) / (s - s_m)
     energy = uc[..., 2] / rho + (s_m - u) * (s_m + p / (rho * (s - u)))
-    u_star = _stack_last((fac, fac * s_m, fac * energy))
-    return _build_fan(uc, f, u_star[0], u_star[1], s_l, s_m, s_r)
+    fan.u_star_l, fan.u_star_r = _stack_last((fac, fac * s_m, fac * energy))
+    return _build_fan(uc, f, fan)

@@ -47,12 +47,8 @@ def _equilibrium_pressure(coeffs, p1, p2, eos1, eos2):
     A1, B1, A2, B2 = coeffs
     pi1, pi2 = eos1.p_inf, eos2.p_inf
     qa = B1 + B2 - 1.0
-    if pi2:
-        qb = A1 + A2 + B1 * pi2 + B2 * pi1 - pi1 - pi2
-        qc = A1 * pi2 + A2 * pi1 - pi1 * pi2
-    else:  # an ideal carrier's terms are x + 0 and x - 0 with x > 0
-        qb = A1 + A2 + B2 * pi1 - pi1
-        qc = A2 * pi1
+    qb = A1 + A2 + B1 * pi2 + B2 * pi1 - pi1 - pi2
+    qc = A1 * pi2 + A2 * pi1 - pi1 * pi2
     disc = qb * qb - 4.0 * qa * qc
     bad = disc < 0.0
     sq = np.sqrt(np.where(bad, 0.0, disc))

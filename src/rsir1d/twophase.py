@@ -15,18 +15,15 @@ the flux of that system is called `phi` throughout.  All functions are
 vectorized over leading axes.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import eos as _eos
 from . import euler as _euler
-from .euler import (PositivityError, _buffer, _check_beta, _component_major,
-                    _rows, _star_flux, _weights)
+from .euler import (Fan, PositivityError, _buffer, _check_beta,
+                    _component_major, _rows, _star_flux, _weights)
 
 __all__ = [
     "ALPHA_FLOOR",
-    "TwoPhaseFan",
     "tp_cons_from_prim",
     "tp_prim_from_cons",
     "alpha_clamps",
@@ -46,35 +43,6 @@ __all__ = [
 
 # volume fraction floor applied at state recovery; clamps are counted, not silent
 ALPHA_FLOOR = 1e-8
-
-
-@dataclass
-class TwoPhaseFan:
-    """Per-interface record of every two-phase interface solver.
-
-    flux           : 7-component flux F of the non-conservative form
-    alpha_face     : face value of alpha1 feeding the momentum H-terms
-    phi_alpha_face : face value of the alpha1-equation flux (alpha1*u1)
-                     feeding the energy H-terms
-    p_i            : frozen interfacial pressure of this interface
-    s_l, s_m1, s_m2, s_r, u_hll, u_star_l, u_star_r : wave speeds, HLL
-                     state and star states of the fan (None for Rusanov)
-    n_fallback     : interfaces given the HLL star state because the
-                     reconstructed one was inadmissible
-    """
-
-    flux: np.ndarray
-    alpha_face: np.ndarray
-    phi_alpha_face: np.ndarray
-    p_i: np.ndarray
-    s_l: np.ndarray = None
-    s_m1: np.ndarray = None
-    s_m2: np.ndarray = None
-    s_r: np.ndarray = None
-    u_hll: np.ndarray = None
-    u_star_l: np.ndarray = None
-    u_star_r: np.ndarray = None
-    n_fallback: int = 0
 
 
 def tp_cons_from_prim(w, eos1, eos2, out=None):
@@ -234,8 +202,8 @@ def rusanov_basic_flux(wl, wr, eos1, eos2, scratch=None):
     s = np.maximum(-s_l, s_r)[..., None]
     flux = 0.5 * (f[1] + f[0] - s * (uc[1] - uc[0]))
     a1, au1 = w[..., 0], f[..., 0]
-    return TwoPhaseFan(flux, 0.5 * (a1[0] + a1[1]), 0.5 * (au1[0] + au1[1]),
-                       p_i)
+    return Fan(flux, s_l=s_l, s_r=s_r, alpha_face=0.5 * (a1[0] + a1[1]),
+               phi_alpha_face=0.5 * (au1[0] + au1[1]), p_i=p_i)
 
 
 def _f_from_phi(phi, p_i, a1_face):
@@ -259,7 +227,8 @@ def rusanov_local_flux(wl, wr, eos1, eos2, scratch=None):
     a1, au1 = v[..., 0], phi[..., 0]
     a1_star = 0.5 * (a1[1] + a1[0] - (au1[1] - au1[0]) / s)
     f = _f_from_phi(phi_star, p_i, a1_star)
-    return TwoPhaseFan(f, a1_star, f[..., 0], p_i)
+    return Fan(f, s_l=s_l, s_r=s_r, alpha_face=a1_star,
+               phi_alpha_face=f[..., 0], p_i=p_i)
 
 
 def tp_hll_state(vl, vr, phil, phir, s_l, s_r, out=None):
@@ -276,7 +245,7 @@ def _tp_psi(fan, wl, wr, om_l, om_r, beta, eos1, eos2, scratch=None):
     """Jump vector psi across the phase-1 contact wave of the HLL fan
     ``fan``, from the store ``scratch``; its energy slot 3 uses the star
     masses u_hll[1] -/+ om_r/om_l psi[1]."""
-    u_hll, s_m1, s_m2, p_i = fan.u_hll, fan.s_m1, fan.s_m2, fan.p_i
+    u_hll, s_m1, s_m2, p_i = fan.u_hll, fan.s_m, fan.s_m2, fan.p_i
     a1l, a1r = wl[..., 0], wr[..., 0]
     m1l = a1l * wl[..., 1]
     m1r = a1r * wr[..., 1]
@@ -322,7 +291,7 @@ def rsir_reconstruct(fan, wl, wr, beta, eos1, eos2, scratch=None):
     inadmissible reconstruction the caller's beta=0 fallback changes.
     """
     u_hll = fan.u_hll
-    om_l, om_r = _weights(fan.s_l, fan.s_m1, fan.s_r)
+    om_l, om_r = _weights(fan.s_l, fan.s_m, fan.s_r)
     psi = _tp_psi(fan, wl, wr, om_l, om_r, beta, eos1, eos2, scratch)
     shape = np.broadcast(u_hll, psi).shape
     u_star_l, u_star_r = (_buffer(scratch, role, shape)
@@ -331,7 +300,7 @@ def rsir_reconstruct(fan, wl, wr, beta, eos1, eos2, scratch=None):
                 out=u_star_l)
     np.add(u_hll, np.multiply(om_l[..., None], psi, out=u_star_r),
            out=u_star_r)
-    bad = np.zeros(np.shape(fan.s_m1), dtype=bool)
+    bad = np.zeros(np.shape(fan.s_m), dtype=bool)
     for star in (u_star_l, u_star_r):  # alpha2 = 1 - alpha1 passes with it
         bad |= (star[..., 0] < ALPHA_FLOOR) | (star[..., 0] > 1.0 - ALPHA_FLOOR)
         bad |= (star[..., 1] <= 0.0) | (star[..., 4] <= 0.0)
@@ -347,8 +316,8 @@ def _tp_fan_common(wl, wr, eos1, eos2, scratch=None):
     w, v, phi, p_i, s_l, s_r = _sides(wl, wr, eos1, eos2, scratch)
     u_hll, s_m1, s_m2 = tp_hll_state(v[0], v[1], phi[0], phi[1], s_l, s_r,
                                      _buffer(scratch, "u_hll", v.shape[1:]))
-    return w, v, phi, TwoPhaseFan(None, None, None, p_i, s_l, s_m1, s_m2, s_r,
-                                  u_hll, u_hll, u_hll)
+    return w, v, phi, Fan(s_l=s_l, s_m=s_m1, s_r=s_r, u_hll=u_hll,
+                          u_star_l=u_hll, u_star_r=u_hll, p_i=p_i, s_m2=s_m2)
 
 
 def _tp_build_fan(w, v, phi, fan, scratch):
@@ -356,7 +325,7 @@ def _tp_build_fan(w, v, phi, fan, scratch):
     from the star flux of the face's side of the phase-1 contact, or a
     side's own F-flux at a supersonic face."""
     s_l, s_r = fan.s_l, fan.s_r
-    flux = _star_flux(fan.u_star_l, fan.u_star_r, v, phi, s_l, fan.s_m1, s_r,
+    flux = _star_flux(fan.u_star_l, fan.u_star_r, v, phi, s_l, fan.s_m, s_r,
                       _buffer(scratch, "star flux", v.shape[1:]))
     # the HLL state's volume fraction, sampled in the supersonic branches
     a1_face = fan.u_hll[..., 0]

@@ -166,6 +166,18 @@ def test_compare_solvers_fine_reference():
     assert all(v >= 0.0 for errs in table.values() for v in errs.values())
 
 
+@pytest.mark.parametrize("boundary", ["reflective", "periodic"])
+def test_compare_solvers_walls_use_the_fine_reference(boundary):
+    """The exact solution is that of an unbounded domain; once the waves
+    meet a reflective or periodic boundary it no longer holds, so the
+    reference is the fine-mesh HLLC run."""
+    case = replace(cases.builtin_case("euler-shock-tube"), n_cells=50,
+                   boundary=boundary, end_time=2e-3)
+    label, table = cases.compare_solvers(case, solvers=("hllc",), n_ref=200)
+    assert label == "fine-mesh hllc (200 cells)"
+    assert table["hllc"]["rho"] < 0.05
+
+
 def test_nasg_phase_rejected_for_sg_only_closures():
     """Pressure relaxation and rsir-tp assume SG/ideal phases; a NASG
     phase is rejected up front, and the other two-phase solvers take it."""
@@ -253,7 +265,6 @@ EOS_SAMPLES = {
     "gamma": ("1.3", 1.3),
     "p_inf": ("2e5", 2e5),
     "b": ("1e-3", 1e-3),
-    "cv": ("700", 700.0),
 }
 
 
@@ -301,10 +312,34 @@ def test_every_key_round_trips_into_its_field(key):
     (["model=two-phase", "solver=hll-tp", "eos1.preset=water-nasg",
       "eos2.preset=air-ideal", "state.left=0.2 1000 0 1e6 10 0 1e5",
       "state.right=0.2 20000 0 1e6 10 0 1e5"], "state.right"),
+    # a conserved energy that overflows, of the Euler state or of a phase
+    (["state.left=1 0 1e308"], "state.left: energy rho E overflows"),
+    (["state.right=1 1e200 1e5"], "state.right: energy rho E overflows"),
+    (["model=two-phase", "solver=hll-tp", "eos1.preset=water-sg",
+      "eos2.preset=air-ideal", "state.left=0.2 1000 0 1e6 10 0 1e308",
+      "state.right=0.2 1000 0 1e6 10 0 1e5"], "state.left: energy"),
+    # names that are not one file name: the run's outputs are named by them
+    (["name=a/b"], "name 'a/b'"),
+    (["name=../escaped"], "name '../escaped'"),
+    (["name=.."], "name '..'"),
+    (["name="], "name ''"),
+    # values outside their ranges
+    (["model=foo"], "unknown model"),
+    (["cfl=0"], "cfl must lie"),
+    (["cfl=1.5"], "cfl must lie"),
+    (["limiter=superbee"], "unknown limiter"),
+    (["boundary=open"], "unknown boundary"),
+    (["model=two-phase", "solver=hll-tp", "eos1.preset=water-sg",
+      "eos2.preset=air-ideal", "state.left=1 1000 0 1e6 10 0 1e5",
+      "state.right=0.2 1000 0 1e6 10 0 1e5"], "state.left volume fraction"),
+    (["time.end=0"], "time.end must be positive"),
+    (["mesh.x_disc=1"], "mesh.x_disc must lie inside"),
 ])
 def test_non_finite_input_is_a_config_error(overrides, key):
-    """A NaN or infinite number is rejected up front; time.end = inf would
-    otherwise never end and a NaN state would run to NaN output."""
+    """A NaN or infinite number, an overflowing energy, a name that is not
+    a file name and a value outside its range are rejected up front:
+    time.end = inf would otherwise never end, a NaN state or energy would
+    run to NaN output, and a name such as ../x writes outside --out."""
     case = cases.builtin_case("euler-shock-tube")
     with pytest.raises(cases.ConfigError, match=key):
         cases.apply_overrides(case, overrides)

@@ -193,6 +193,7 @@ def test_invalid_mesh_or_drag_is_a_config_error(tmp_path, capsys, case,
     ["compare", "euler-shock-tube", "--solvers", "foo"],
     ["compare", "euler-shock-tube", "--solvers", "hll-tp"],
     ["compare", "tp-shock-tube", "--n-ref", "150"],
+    ["run", "euler-shock-tube", "--set", "state.left=1 0 1e308"],
 ])
 def test_bad_invocation_is_one_error_line(tmp_path, capsys, args):
     if args[0] == "run":
@@ -201,6 +202,19 @@ def test_bad_invocation_is_one_error_line(tmp_path, capsys, args):
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
     assert err.count("\n") == 1 and err.count("error:") == 1
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("name", ["a/b", "../escaped", "..", ""])
+def test_name_that_is_not_a_file_name_fails_cleanly(tmp_path, capsys, name):
+    """The outputs are named after the case, so a name with a path
+    separator, or one that is no file name, is one error line and exit 2
+    before the run, and nothing is written inside or beside --out."""
+    code, out, err = run_cli(["run", "euler-shock-tube", "--set",
+                              f"name={name}", "--out",
+                              str(tmp_path / "out")], capsys)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not os.listdir(tmp_path)
 
 

@@ -21,7 +21,7 @@ MACH_MAX = 2.0
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
                     database=None)
 
-# the Euler interface solvers, each returning an ``euler.EulerFan``
+# the Euler interface solvers, each returning an ``euler.Fan``
 FLUXES = {
     "rusanov": lambda wl, wr, eos: euler.rusanov_flux(wl, wr, eos),
     "hll": lambda wl, wr, eos: euler.hll_flux(wl, wr, eos),
@@ -78,6 +78,7 @@ def test_rsir_at_beta_zero_is_hll_bitwise(drawn):
     eos, wl, wr = drawn
     fan = euler.rsir_flux(wl, wr, eos, 0.0)
     hll = euler.hll_flux(wl, wr, eos)
+    assert fan.n_fallback == 0
     assert np.array_equal(fan.flux, hll.flux)
     assert np.array_equal(fan.u_star_l, hll.u_star_l)
     assert np.array_equal(fan.u_star_r, hll.u_star_r)
@@ -87,8 +88,9 @@ def test_rsir_at_beta_zero_is_hll_bitwise(drawn):
 @given(state_pairs())
 def test_rsir_falls_back_to_hll_where_the_star_state_is_inadmissible(drawn):
     """At beta = 1, interfaces whose reconstructed star state is
-    inadmissible get the HLL star states and flux and are counted; the
-    others keep the reconstructed star densities, and all are positive."""
+    inadmissible get the HLL star states and flux and are counted if that
+    changes them; the others keep the reconstructed star densities, and
+    all are positive."""
     eos, wl, wr = drawn
     fan = euler.rsir_flux(wl, wr, eos, 1.0)
     hll = euler.hll_flux(wl, wr, eos)
@@ -102,9 +104,17 @@ def test_rsir_falls_back_to_hll_where_the_star_state_is_inadmissible(drawn):
     p_star = 0.5 * (wl[:, 2] + cl2 * (rho_l - wl[:, 0])
                     + wr[:, 2] + cr2 * (rho_r - wr[:, 0]))
     bad = (rho_l <= 0.0) | (rho_r <= 0.0)
+    lam_e = 0.5 * fan.s_m * fan.s_m
     if eos.b:
         bad |= ((p_star + eos.p_inf <= 0.0) | (rho_l * eos.b >= 1.0)
                 | (rho_r * eos.b >= 1.0))
+        lam_e -= eos.b * (p_star + eos.gamma * eos.p_inf) / (eos.gamma - 1.0)
+    # an inadmissible reconstruction equal to U_HLL (psi = 0) changes nothing
+    jump = np.stack([psi, psi * fan.s_m, psi * lam_e], axis=-1)
+    u_hll = hll.u_star_l
+    bad &= ((u_hll - ((fan.s_r - fan.s_m) / den)[:, None] * jump != u_hll)
+            | (u_hll + ((fan.s_m - fan.s_l) / den)[:, None] * jump != u_hll)
+            ).any(axis=-1)
     assert fan.n_fallback == np.count_nonzero(bad)
     assert np.all(fan.u_star_l[:, 0] > 0.0) and np.all(fan.u_star_r[:, 0] > 0.0)
     for name in ("flux", "u_star_l", "u_star_r"):

@@ -8,9 +8,10 @@ from rsir1d.euler import PositivityError
 
 WATER = _eos.preset("water-sg")
 AIR = _eos.preset("air-ideal")
+SG_CARRIER = _eos.EosParams(gamma=1.9, p_inf=2e6)  # a stiffened-gas phase 2
 
 
-def random_disequilibrium_states(rng, n):
+def random_disequilibrium_states(rng, n, eos2=AIR):
     a1 = rng.uniform(0.05, 0.95, size=n)
     rho1 = rng.uniform(800.0, 1300.0, size=n)
     p1 = 10.0 ** rng.uniform(4.5, 7.5, size=n)
@@ -19,7 +20,7 @@ def random_disequilibrium_states(rng, n):
     u1 = rng.uniform(-50.0, 50.0, size=n)
     u2 = rng.uniform(-200.0, 200.0, size=n)
     w = np.stack([a1, rho1, u1, p1, rho2, u2, p2], axis=-1)
-    return tp.tp_cons_from_prim(w, WATER, AIR)
+    return tp.tp_cons_from_prim(w, WATER, eos2)
 
 
 def relax(uc, eos1=WATER, eos2=AIR):
@@ -77,11 +78,13 @@ def test_pressures_equal_after_relaxation(rng):
 
 
 def test_matches_bisection_oracle(rng):
-    uc = random_disequilibrium_states(rng, 64)
-    out, rep, _ = relax(uc)
-    for i in range(uc.shape[0]):
-        p_ref = bisect_equilibrium(uc[i], WATER, AIR)
-        assert rep.p_eq[i] == pytest.approx(p_ref, rel=1e-10, abs=1e-4)
+    for eos2 in (AIR, SG_CARRIER):  # the quadratic with p_inf2 = 0 and > 0
+        uc = random_disequilibrium_states(rng, 64, eos2)
+        out, rep, _ = relax(uc, WATER, eos2)
+        assert rep.iterations == 0  # the quadratic's root, not bisection
+        for i in range(uc.shape[0]):
+            p_ref = bisect_equilibrium(uc[i], WATER, eos2)
+            assert rep.p_eq[i] == pytest.approx(p_ref, rel=1e-10, abs=1e-4)
 
 
 def test_conserved_quantities_untouched(rng):

@@ -80,7 +80,7 @@ def test_star_states_recombine_to_hll(rng):
     wl, wr = random_twophase_states(rng, 200, WATER, AIR, slip=0.1)
     w, _, _, fan = tp._tp_fan_common(wl, wr, WATER, AIR)
     assert np.array_equal(w[0], wl) and np.array_equal(w[1], wr)
-    u_hll, s_l, s_m1, s_r = fan.u_hll, fan.s_l, fan.s_m1, fan.s_r
+    u_hll, s_l, s_m1, s_r = fan.u_hll, fan.s_l, fan.s_m, fan.s_r
     assert fan.u_star_r is u_hll and u_hll.shape == wl.shape
     u_star_l, u_star_r, bad = tp.rsir_reconstruct(fan, wl, wr, 1.0,
                                                   WATER, AIR)
@@ -94,7 +94,7 @@ def test_star_states_recombine_to_hll(rng):
 def test_psi_vanishes_at_beta_zero(rng):
     wl, wr = random_twophase_states(rng, 50, WATER, AIR)
     _, _, _, fan = tp._tp_fan_common(wl, wr, WATER, AIR)
-    u_hll, s_l, s_m1, s_r = fan.u_hll, fan.s_l, fan.s_m1, fan.s_r
+    u_hll, s_l, s_m1, s_r = fan.u_hll, fan.s_l, fan.s_m, fan.s_r
     om_l = (s_m1 - s_l) / (s_r - s_l)
     om_r = (s_r - s_m1) / (s_r - s_l)
     psi = tp._tp_psi(fan, wl, wr, om_l, om_r, 0.0, WATER, AIR)
