@@ -381,13 +381,16 @@ def emit_csv(path, case, centers, w):
 
 def emit_plot_script(path, csv_paths, case):
     """Write a gnuplot script plotting the main fields of each CSV."""
+    def quoted(s):  # gnuplot reads '' as one ' inside '...'
+        return "'" + str(s).replace("'", "''") + "'"
+
     if case.model == "euler":
         panels = [("rho", 2), ("u", 3), ("p", 4), ("e", 5)]
     else:
         panels = [("alpha1", 2), ("rho_mix", 9), ("u1", 4), ("p1", 5)]
     lines = [
         "set datafile separator ','",
-        f"set output '{case.name}.png'",
+        f"set output {quoted(case.name + '.png')}",
         "set terminal pngcairo size 1200,900",
         "set multiplot layout 2,2",
         "set key top right",
@@ -395,7 +398,8 @@ def emit_plot_script(path, csv_paths, case):
     for label, col in panels:
         lines.append(f"set ylabel '{label}'")
         plots = ", ".join(
-            f"'{p}' using 1:{col} with lines title '{p}'" for p in csv_paths)
+            f"{quoted(p)} using 1:{col} with lines title {quoted(p)}"
+            for p in csv_paths)
         lines.append(f"plot {plots}")
     lines.append("unset multiplot")
     with open(path, "w") as fh:

@@ -23,9 +23,7 @@ __all__ = [
     "Fan",
     "cons_from_prim",
     "prim_from_cons",
-    "physical_flux",
     "cons_and_flux",
-    "davis_wave_speeds",
     "hll_state",
     "contact_speed",
     "rusanov_flux",
@@ -144,13 +142,8 @@ def prim_from_cons(uc, eos, out=None):
     return _component_major(cols)
 
 
-def physical_flux(w, eos):
-    """F(U) = (rho u, rho u^2 + p, (rho E + p) u)."""
-    return cons_and_flux(w, eos)[1]
-
-
 def cons_and_flux(w, eos, out=(None, None)):
-    """(:func:`cons_from_prim`, :func:`physical_flux`) of primitive states,
+    """(U, F(U) = (rho u, rho u^2 + p, (rho E + p) u)) of primitive states,
     into the pair ``out``, sharing one internal-energy evaluation."""
     uc = cons_from_prim(w, eos, out[0])
     w = np.asarray(w, dtype=float)
@@ -160,14 +153,6 @@ def cons_and_flux(w, eos, out=(None, None)):
     np.add(np.multiply(ru, u, out=cols[1, ...]), p, out=cols[1, ...])
     np.multiply(np.add(etot, p, out=cols[2, ...]), u, out=cols[2, ...])
     return uc, _component_major(cols)
-
-
-def davis_wave_speeds(wl, wr, eos):
-    """Davis exterior bounds (signed form), from the one batch of both sides:
-
-        S_L = min(u_L - c_L, u_R - c_R),  S_R = max(u_L + c_L, u_R + c_R)
-    """
-    return _sides(wl, wr, eos)[4:]
 
 
 def hll_state(ul, ur, fl, fr, s_l, s_r, out=None):
@@ -225,7 +210,8 @@ def _star_flux(u_star_l, u_star_r, uc, f, s_l, s_m, s_r, out=None):
 
 def _sides(wl, wr, eos):
     """Both sides as one batch, left at index 0: (primitives, conserved,
-    fluxes) of shape (2, ..., 3), c^2 of shape (2, ...), S_L and S_R."""
+    fluxes) of shape (2, ..., 3), c^2 of shape (2, ...), and the Davis
+    bounds S_L = min(u_L - c_L, u_R - c_R), S_R = max(u_L + c_L, u_R + c_R)."""
     w = _component_major(np.empty((3, 2) + np.broadcast(wl, wr).shape[:-1]))
     w[0], w[1] = wl, wr
     c2 = _eos._sound_speed_sq(eos, w[..., 0], w[..., 2])

@@ -192,7 +192,7 @@ def drag_clift_gauvin(uc, radius, mu2, dt):
     a1 = uc[..., 0]
     remaining = dt
     steps = 0
-    while remaining > 0.0 and steps < 10_000:
+    while remaining > 0.0:
         m1, q1 = uc[..., 1], uc[..., 2]
         m2, q2 = uc[..., 4], uc[..., 5]
         u1 = q1 / m1
@@ -207,7 +207,8 @@ def drag_clift_gauvin(uc, radius, mu2, dt):
             du > 0.0, 3.0 / (8.0 * radius) * a1 * np.where(du > 0.0, cd, 0.0)
             * rho2 * du, 0.0)
         tau = 1.0 / (np.max(lam_eff * (1.0 / m1 + 1.0 / m2)) + 1e-300)
-        sub_dt = min(remaining, 0.2 * tau)
+        # the 10 000th sub-step takes the rest of dt, whatever its size
+        sub_dt = remaining if steps == 9_999 else min(remaining, 0.2 * tau)
         factor = np.exp(-lam_eff * sub_dt * (1.0 / m1 + 1.0 / m2))
         _apply_velocity_update(uc, factor)
         remaining -= sub_dt

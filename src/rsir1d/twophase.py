@@ -29,16 +29,12 @@ __all__ = [
     "alpha_clamps",
     "interfacial_pressure",
     "tp_cons_and_local_flux",
-    "phys_flux",
-    "tp_wave_bounds",
-    "rusanov_speed",
     "rusanov_basic_flux",
     "rusanov_local_flux",
     "tp_hll_state",
     "rsir_reconstruct",
     "tp_hll_flux",
     "rsir_tp_flux",
-    "mixture_entropy",
 ]
 
 # volume fraction floor applied at state recovery; clamps are counted, not silent
@@ -152,13 +148,6 @@ def _phi(w, uc, p_i, out=None):
     return _component_major(cols)
 
 
-def phys_flux(w, eos1, eos2):
-    """Flux F of the non-conservative formulation (7 slots): ``phi`` at
-    p_i = 0."""
-    w = np.asarray(w, dtype=float)
-    return _phi(w, tp_cons_from_prim(w, eos1, eos2), 0.0)
-
-
 def _bounds(w, eos2):
     """(S_L, S_R) of a side batch ``w`` of shape (2, ..., 7), left at
     index 0: Davis-type exterior bounds over the eigenvalues u1, u2 -+ c2."""
@@ -166,18 +155,6 @@ def _bounds(w, eos2):
     lo = np.minimum(w[..., 2], w[..., 5] - c2)
     hi = np.maximum(w[..., 2], w[..., 5] + c2)
     return np.minimum(lo[0], lo[1]), np.maximum(hi[0], hi[1])
-
-
-def tp_wave_bounds(wl, wr, eos2):
-    """Davis-type exterior bounds over the eigenvalues u1, u2 -+ c2."""
-    return _bounds(np.stack(np.broadcast_arrays(wl, wr)), eos2)
-
-
-def rusanov_speed(wl, wr, eos2):
-    """S = max over both states of max_k |lambda_k|, which is
-    max(-S_L, S_R) of :func:`tp_wave_bounds`."""
-    s_l, s_r = tp_wave_bounds(wl, wr, eos2)
-    return np.maximum(-s_l, s_r)
 
 
 def _sides(wl, wr, eos1, eos2, scratch, local=True):
@@ -361,12 +338,3 @@ def rsir_tp_flux(wl, wr, eos1, eos2, beta, scratch=None):
         np.copyto(fan.u_star_l, fan.u_hll, where=bad[..., None])
         np.copyto(fan.u_star_r, fan.u_hll, where=bad[..., None])
     return _tp_build_fan(w, v, phi, fan, scratch)
-
-
-def mixture_entropy(w, eos1, eos2):
-    """Diagnostic mixture entropy alpha1 rho1 s1 + alpha2 rho2 s2."""
-    w = np.asarray(w, float)
-    a1 = w[..., 0]
-    s1 = _eos.entropy(eos1, w[..., 1], w[..., 3])
-    s2 = _eos.entropy(eos2, w[..., 4], w[..., 6])
-    return a1 * w[..., 1] * s1 + (1.0 - a1) * w[..., 4] * s2

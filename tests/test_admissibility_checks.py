@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from rsir1d import eos as _eos
-from rsir1d import euler, twophase
+from rsir1d import euler, exact_riemann, relaxation, twophase
 from rsir1d.eos import EosDomainError
 from rsir1d.euler import DegenerateFanError, PositivityError
+from rsir1d.relaxation import RelaxationError
 
 AIR = _eos.preset("air-ideal")
 WATER = _eos.preset("water-sg")
@@ -88,6 +89,17 @@ CASES = {
     "HLL apparent density, phase 2": (
         lambda: twophase.tp_hll_state(*_hll_inputs(4)),
         PositivityError, "non-positive HLL apparent density for phase 2"),
+    "pressure-equilibrium root": (  # air at 1e-35 Pa beside water
+        lambda: relaxation.pressure_relax_stiff(
+            twophase.tp_cons_from_prim(_tp_state(p2=1e-35), WATER, AIR),
+            _tp_state(p2=1e-35), WATER, AIR),
+        RelaxationError, "no admissible pressure-equilibrium root"),
+    "time of an L1 error": (
+        lambda: exact_riemann.l1_error(
+            np.zeros(3), exact_riemann.solve_exact([1.0, 0.0, 1e5],
+                                                   [0.125, 0.0, 1e4], AIR),
+            0.0, np.arange(3.0), component=0),
+        ValueError, "l1_error requires t > 0"),
 }
 
 
@@ -107,7 +119,7 @@ def test_interface_flux_error_quotes_the_batch_extremum():
     good = np.array([[1.0, 0.0, 1e5], [1.0, 0.0, 1e5]])
     left = np.array([[1.0, 0.0, 1e5], [1.0, 0.0, -2e5]])
     right = np.array([[1.0, 0.0, -5e5], [1.0, 0.0, 1e5]])
-    for flux in (euler.hll_flux, euler.rusanov_flux, euler.davis_wave_speeds):
+    for flux in (euler.hll_flux, euler.rusanov_flux):
         for wl in (left, good):
             with pytest.raises(EosDomainError) as exc:
                 flux(wl, right, AIR)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,35 @@ def test_emit_plot_script(tmp_path):
     cases.emit_plot_script(script, ["a.csv", "b.csv"], case)
     text = script.read_text()
     assert "plot" in text and "a.csv" in text and "b.csv" in text
+
+
+# a gnuplot single-quoted string, in which '' stands for one quote
+GP_STRING = r"'(?:[^']|'')*'"
+
+
+@pytest.mark.parametrize("name, columns", [
+    ("euler-shock-tube", (2, 3, 4, 5)),
+    ("tp-shock-tube", (2, 9, 4, 5)),
+], ids=["euler", "two-phase"])
+def test_plot_script_quotes_its_strings_and_plots_each_model(tmp_path, name,
+                                                             columns):
+    """Each model's script plots its four panels of every CSV, and a quote
+    in the case name or in a CSV path is doubled, so that each string ends
+    where it should: outside the strings only gnuplot syntax is left."""
+    case = replace(cases.builtin_case(name), name="it's")
+    csvs = ["o'ut/it's-t0.csv", "b.csv"]
+    script = tmp_path / "plot.gp"
+    cases.emit_plot_script(script, csvs, case)
+    lines = script.read_text().splitlines()
+    assert "set output 'it''s.png'" in lines
+    plots = [ln for ln in lines if ln.startswith("plot ")]
+    assert len(plots) == len(columns)
+    for line, col in zip(plots, columns):
+        assert [s[1:-1].replace("''", "'")
+                for s in re.findall(GP_STRING, line)] == [
+            csvs[0], csvs[0], csvs[1], csvs[1]]
+        one = f"S using 1:{col} with lines title S"
+        assert re.sub(GP_STRING, "S", line) == f"plot {one}, {one}"
 
 
 def test_compare_solvers_exact_reference():
@@ -334,10 +365,14 @@ def test_every_key_round_trips_into_its_field(key):
       "state.right=0.2 1000 0 1e6 10 0 1e5"], "state.left volume fraction"),
     (["time.end=0"], "time.end must be positive"),
     (["mesh.x_disc=1"], "mesh.x_disc must lie inside"),
+    # a value that does not parse, and an EOS field that no longer exists
+    (["relax.pressure=maybe"], "expected on/off, got 'maybe'"),
+    (["eos1.cv=1.0"], "unknown EOS field 'cv'"),
 ])
 def test_non_finite_input_is_a_config_error(overrides, key):
     """A NaN or infinite number, an overflowing energy, a name that is not
-    a file name and a value outside its range are rejected up front:
+    a file name, a value outside its range or that does not parse, and an
+    unknown EOS field are rejected up front:
     time.end = inf would otherwise never end, a NaN state or energy would
     run to NaN output, and a name such as ../x writes outside --out."""
     case = cases.builtin_case("euler-shock-tube")

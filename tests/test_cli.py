@@ -41,6 +41,29 @@ def test_run_builtin_writes_outputs(tmp_path, capsys):
     assert "conservation defect" in out
 
 
+@pytest.mark.parametrize("case, overrides", [
+    ("euler-shock-tube", ["state.left=0.05 -600 1e4", "state.right=5 600 2e5",
+                          "time.end=2e-4"]),
+    ("tp-alpha-rest", [f"state.{side}=0.999999999 1000 0 1e5 1 0 1e5"
+                       for side in ("left", "right")]
+     + ["mesh.n_cells=20", "time.end=1e-4"]),
+])
+def test_run_prints_its_nonzero_counters(tmp_path, capsys, case, overrides):
+    """A run that takes a fallback (a strong double expansion for rsir) or
+    clamps alpha1 (a state within the floor of 1) prints its manifest's
+    three counters on one line."""
+    args = ["run", case, "--out", str(tmp_path)]
+    for o in overrides:
+        args += ["--set", o]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    m = json.loads((tmp_path / f"{case}-manifest.json").read_text())
+    assert m["positivity_fallbacks"] or m["alpha_clamps"]
+    assert (f"\n  fallbacks {m['positivity_fallbacks']}, alpha clamps "
+            f"{m['alpha_clamps']}, dt rejections {m['dt_rejections']}\n"
+            in out)
+
+
 def test_run_config_file(tmp_path, capsys):
     cfg = tmp_path / "mycase.cfg"
     cfg.write_text(
@@ -194,6 +217,7 @@ def test_invalid_mesh_or_drag_is_a_config_error(tmp_path, capsys, case,
     ["compare", "euler-shock-tube", "--solvers", "hll-tp"],
     ["compare", "tp-shock-tube", "--n-ref", "150"],
     ["run", "euler-shock-tube", "--set", "state.left=1 0 1e308"],
+    ["run", "euler-shock-tube", "--set", "eos1.cv=1.0"],
 ])
 def test_bad_invocation_is_one_error_line(tmp_path, capsys, args):
     if args[0] == "run":

@@ -26,14 +26,15 @@ def test_cons_prim_roundtrip(rng):
 def test_physical_flux_values():
     # rho=2, u=3, p=10, ideal gamma=1.4: e=12.5, E=2*(12.5+4.5)=34
     g = _eos.EosParams(gamma=1.4)
-    f = euler.physical_flux(np.array([2.0, 3.0, 10.0]), g)
+    f = euler.cons_and_flux(np.array([2.0, 3.0, 10.0]), g)[1]
     assert np.allclose(f, [6.0, 28.0, (34.0 + 10.0) * 3.0], rtol=1e-14)
 
 
 def test_davis_signed_speeds():
     wl = np.array([1.0, 500.0, 1e5])
     wr = np.array([1.0, 480.0, 1e5])
-    s_l, s_r = euler.davis_wave_speeds(wl, wr, AIR)
+    fan = euler.rusanov_flux(wl, wr, AIR)
+    s_l, s_r = fan.s_l, fan.s_r
     c = float(_eos.sound_speed(AIR, 1.0, 1e5))
     assert s_l == pytest.approx(480.0 - c)
     assert s_r == pytest.approx(500.0 + c)
@@ -43,11 +44,10 @@ def test_davis_signed_speeds():
 def test_hll_state_consistency(rng):
     """The HLL state satisfies the integral relation over the fan."""
     wl, wr = random_euler_states(rng, 200, AIR)
-    s_l, s_r = euler.davis_wave_speeds(wl, wr, AIR)
-    ul = euler.cons_from_prim(wl, AIR)
-    ur = euler.cons_from_prim(wr, AIR)
-    fl = euler.physical_flux(wl, AIR)
-    fr = euler.physical_flux(wr, AIR)
+    fan = euler.rusanov_flux(wl, wr, AIR)
+    s_l, s_r = fan.s_l, fan.s_r
+    ul, fl = euler.cons_and_flux(wl, AIR)
+    ur, fr = euler.cons_and_flux(wr, AIR)
     u_hll = euler.hll_state(ul, ur, fl, fr, s_l, s_r)
     lhs = (s_r - s_l)[..., None] * u_hll
     rhs = s_r[..., None] * ur - s_l[..., None] * ul - (fr - fl)
@@ -58,11 +58,10 @@ def test_star_states_recombine_to_hll(rng):
     """omega_R U_R* + omega_L U_L* equals the HLL state for every member
     of the reconstruction family."""
     wl, wr = random_euler_states(rng, 300, AIR)
-    s_l, s_r = euler.davis_wave_speeds(wl, wr, AIR)
-    ul = euler.cons_from_prim(wl, AIR)
-    ur = euler.cons_from_prim(wr, AIR)
-    fl = euler.physical_flux(wl, AIR)
-    fr = euler.physical_flux(wr, AIR)
+    fan = euler.rusanov_flux(wl, wr, AIR)
+    s_l, s_r = fan.s_l, fan.s_r
+    ul, fl = euler.cons_and_flux(wl, AIR)
+    ur, fr = euler.cons_and_flux(wr, AIR)
     u_hll = euler.hll_state(ul, ur, fl, fr, s_l, s_r)
     for beta in (0.0, 0.3, 1.0):
         fan = euler.rsir_flux(wl, wr, AIR, beta)
@@ -80,7 +79,7 @@ def test_contact_preservation_rsir_and_hllc():
                  euler.hllc_flux(wl, wr, AIR).flux):
         # exact solution: contact moving at u=100; the interface flux
         # upwinds the left state
-        f_exact = euler.physical_flux(wl, AIR)
+        f_exact = euler.cons_and_flux(wl, AIR)[1]
         assert np.allclose(flux, f_exact, rtol=1e-11, atol=1e-8)
 
 
@@ -136,7 +135,7 @@ def test_rsir_general_contact_preservation_nasg():
     wl = np.array([[1000.0, 100.0, 1e5]])
     wr = np.array([[1200.0, 100.0, 1e5]])
     f = euler.rsir_flux(wl, wr, NASG, 1.0).flux
-    f_exact = euler.physical_flux(wl, NASG)
+    f_exact = euler.cons_and_flux(wl, NASG)[1]
     assert np.allclose(f, f_exact, rtol=1e-9, atol=1e-4)
 
 
@@ -146,9 +145,10 @@ def test_supersonic_upwinding():
     for ul, ur in ((900.0, 880.0), (-900.0, -880.0)):
         wl = np.array([[1.0, ul, 1e5]])
         wr = np.array([[0.9, ur, 1.1e5]])
-        s_l, s_r = euler.davis_wave_speeds(wl, wr, AIR)
+        fan = euler.rusanov_flux(wl, wr, AIR)
+        s_l, s_r = fan.s_l, fan.s_r
         assert s_l[0] >= 0.0 if ul > 0.0 else s_r[0] <= 0.0
-        f_ref = euler.physical_flux(wl if ul > 0.0 else wr, AIR)
+        f_ref = euler.cons_and_flux(wl if ul > 0.0 else wr, AIR)[1]
         for f in (euler.hll_flux(wl, wr, AIR).flux,
                   euler.hllc_flux(wl, wr, AIR).flux,
                   euler.rsir_flux(wl, wr, AIR, 1.0).flux,

@@ -62,7 +62,6 @@ def test_every_flux_is_consistent(drawn):
     """F(w, w) = f(w): equal states give the physical flux."""
     eos, w, _ = drawn
     uc, f = euler.cons_and_flux(w, eos)
-    assert np.array_equal(f, euler.physical_flux(w, eos))
     assert np.array_equal(uc, euler.cons_from_prim(w, eos))
     # rounding scale of a fan sum: |f| + (|u| + c) |U|
     speed = np.abs(w[:, 1]) + _eos.sound_speed(eos, w[:, 0], w[:, 2])
@@ -305,21 +304,23 @@ def test_rsir_tp_at_beta_zero_is_tp_hll_bitwise(drawn):
 @PROPERTY
 @given(tp_state_pairs())
 def test_rusanov_basic_is_the_rusanov_flux_of_phys_flux(drawn):
-    """rusanov_basic_flux = 0.5 (F_R + F_L - S (U_R - U_L)) with F from
-    phys_flux, U from tp_cons_from_prim and S from rusanov_speed, bitwise."""
+    """rusanov_basic_flux = 0.5 (F_R + F_L - S (U_R - U_L)) with U and F
+    from tp_cons_and_local_flux at p_i = 0 and S = max(-S_L, S_R) of its
+    own bounds, bitwise."""
     wl, wr = drawn
-    fl, fr = (twophase.phys_flux(w, *TP_EOS) for w in (wl, wr))
-    ul, ur = (twophase.tp_cons_from_prim(w, *TP_EOS) for w in (wl, wr))
-    s = twophase.rusanov_speed(wl, wr, TP_EOS[1])[:, None]
+    (ul, fl), (ur, fr) = (twophase.tp_cons_and_local_flux(w, 0.0, *TP_EOS)
+                          for w in (wl, wr))
+    fan = twophase.rusanov_basic_flux(wl, wr, *TP_EOS)
+    s = np.maximum(-fan.s_l, fan.s_r)[:, None]
     want = 0.5 * (fr + fl - s * (ur - ul))
-    assert np.array_equal(twophase.rusanov_basic_flux(wl, wr, *TP_EOS).flux,
-                          want)
+    assert np.array_equal(fan.flux, want)
 
 
 @PROPERTY
 @given(tp_state_pairs())
 def test_rusanov_speed_is_the_largest_eigenvalue_magnitude(drawn):
-    """rusanov_speed = max over both states of max(|min(u1, u2 - c2)|,
+    """The Rusanov speed max(-S_L, S_R) of rusanov_basic_flux and
+    rusanov_local_flux = max over both states of max(|min(u1, u2 - c2)|,
     max(u1, u2 + c2)), bitwise."""
     wl, wr = drawn
     speeds = []
@@ -328,20 +329,22 @@ def test_rusanov_speed_is_the_largest_eigenvalue_magnitude(drawn):
         lo = np.minimum(w[:, 2], w[:, 5] - c2)
         hi = np.maximum(w[:, 2], w[:, 5] + c2)
         speeds.append(np.maximum(np.abs(lo), hi))
-    assert np.array_equal(twophase.rusanov_speed(wl, wr, TP_EOS[1]),
-                          np.maximum(*speeds))
+    for flux in (twophase.rusanov_basic_flux, twophase.rusanov_local_flux):
+        fan = flux(wl, wr, *TP_EOS)
+        assert np.array_equal(np.maximum(-fan.s_l, fan.s_r),
+                              np.maximum(*speeds))
 
 
 @PROPERTY
 @given(tp_state_pairs())
 def test_every_two_phase_flux_is_consistent(drawn):
-    """F(w, w) = phys_flux(w) within the rounding scale of a fan sum,
+    """F(w, w) = F(w) within the rounding scale of a fan sum,
     |F| + S |U| + p_1 + p_2, where S bounds the signal speeds and the
     pressures bound the frozen-p_i corrections."""
     w, _ = drawn
-    f = twophase.phys_flux(w, *TP_EOS)
-    uc = twophase.tp_cons_from_prim(w, *TP_EOS)
-    speed = twophase.rusanov_speed(w, w, TP_EOS[1])
+    uc, f = twophase.tp_cons_and_local_flux(w, 0.0, *TP_EOS)
+    fan = twophase.rusanov_basic_flux(w, w, *TP_EOS)
+    speed = np.maximum(-fan.s_l, fan.s_r)
     scale = (np.abs(f) + speed[:, None] * np.abs(uc)
              + (w[:, 3] + w[:, 6])[:, None])
     for name, flux in TP_FLUXES.items():

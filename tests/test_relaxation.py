@@ -217,6 +217,20 @@ def test_drag_reduces_slip_and_conserves(rng):
     assert np.allclose(out[:, 3] + out[:, 6], uc[:, 3] + uc[:, 6], rtol=1e-12)
 
 
+def test_drag_integrates_the_whole_step_beside_a_stiff_cell():
+    """The dense cell's sub-steps of 0.2 tau are so short that 10 000 of
+    them do not span dt; the last one takes the rest of dt, so the slip of
+    the dilute cell beside it is gone too, as when it is dragged alone."""
+    w = np.array([[0.5, 1000.0, 0.0, 1e5, 1.0, 50.0, 1e5],
+                  [1e-5, 1000.0, 0.0, 1e5, 1.0, 50.0, 1e5]])
+    uc = tp.tp_cons_from_prim(w, WATER, AIR)
+    out = rlx.drag_clift_gauvin(uc, radius=1e-6, mu2=1.8e-5, dt=1e-3)
+    slip = out[:, 5] / out[:, 4] - out[:, 2] / out[:, 1]
+    assert np.all(np.abs(slip) < 1e-6)
+    assert np.allclose(out[:, 2] + out[:, 5], uc[:, 2] + uc[:, 5], rtol=1e-12)
+    assert np.allclose(out[:, 3] + out[:, 6], uc[:, 3] + uc[:, 6], rtol=1e-12)
+
+
 @pytest.mark.parametrize("drag", [
     lambda uc: rlx.velocity_relax(uc, 12.0, 1e-3),
     lambda uc: rlx.velocity_relax(uc, 0.0, 1e-3),

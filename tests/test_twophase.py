@@ -48,11 +48,11 @@ def test_interfacial_pressure_upwind_rule():
 
 def test_local_flux_reduces_to_phys_flux():
     """Adding the frozen-p_i corrections to the local-conservative flux
-    recovers the flux of the plain formulation."""
+    recovers the flux of the plain formulation, the local flux at p_i = 0."""
     w = np.array([0.3, 1000.0, 10.0, 2e5, 1.0, 20.0, 1e5])
     p_i = 2e5
     _, phi = tp.tp_cons_and_local_flux(w, p_i, WATER, AIR)
-    f = tp.phys_flux(w, WATER, AIR)
+    f = tp.tp_cons_and_local_flux(w, 0.0, WATER, AIR)[1]
     a1, a2 = 0.3, 0.7
     assert phi[2] + p_i * a1 == pytest.approx(f[2], rel=1e-13)
     assert phi[3] + p_i * phi[0] == pytest.approx(f[3], rel=1e-13)
@@ -68,7 +68,8 @@ def test_local_flux_reduces_to_phys_flux():
 
 def test_wave_bounds_contain_eigenvalues(rng):
     wl, wr = random_twophase_states(rng, 200, WATER, AIR)
-    s_l, s_r = tp.tp_wave_bounds(wl, wr, AIR)
+    fan = tp.rusanov_basic_flux(wl, wr, WATER, AIR)
+    s_l, s_r = fan.s_l, fan.s_r
     for w in (wl, wr):
         c2 = _eos.sound_speed(AIR, w[..., 4], w[..., 6])
         for lam in (w[..., 2], w[..., 5] - c2, w[..., 5] + c2):
@@ -111,7 +112,7 @@ def test_mechanical_equilibrium_flux_is_exact():
     wl = np.array([[0.8, 1000.0, 100.0, 1e5, 1.0, 100.0, 1e5]])
     wr = np.array([[0.2, 1000.0, 100.0, 1e5, 1.0, 100.0, 1e5]])
     rec = tp.rsir_tp_flux(wl, wr, WATER, AIR, 1.0)
-    f_exact = tp.phys_flux(wl, WATER, AIR)  # upwind side (u > 0)
+    f_exact = tp.tp_cons_and_local_flux(wl, 0.0, WATER, AIR)[1]  # u > 0 side
     # the phase momentum slots carry the p_i alpha_face split that the
     # non-conservative cell terms balance; everything else is exact, and
     # so is the mixture momentum flux
@@ -132,12 +133,14 @@ def test_supersonic_upwinding():
     for ul, ur in ((900.0, 880.0), (-900.0, -880.0)):
         wl = np.array([[0.3, 1000.0, ul, 1e5, 1.0, ul, 1e5]])
         wr = np.array([[0.2, 1000.0, ur, 1.1e5, 0.9, ur, 1.1e5]])
-        s_l, s_r = tp.tp_wave_bounds(wl, wr, AIR)
+        fan = tp.rusanov_basic_flux(wl, wr, WATER, AIR)
+        s_l, s_r = fan.s_l, fan.s_r
         assert s_l[0] >= 0.0 if ul > 0.0 else s_r[0] <= 0.0
         w = wl if ul > 0.0 else wr
         for rec in (tp.tp_hll_flux(wl, wr, WATER, AIR),
                     tp.rsir_tp_flux(wl, wr, WATER, AIR, 1.0)):
-            assert np.array_equal(rec.flux, tp.phys_flux(w, WATER, AIR))
+            assert np.array_equal(
+                rec.flux, tp.tp_cons_and_local_flux(w, 0.0, WATER, AIR)[1])
             assert np.array_equal(rec.alpha_face, w[..., 0])
             assert np.array_equal(rec.phi_alpha_face, w[..., 0] * w[..., 2])
 
@@ -159,18 +162,11 @@ def test_invalid_beta_raises():
         tp.rsir_tp_flux(w, w, WATER, AIR, 2.0)
 
 
-def test_mixture_entropy_finite(rng):
-    w, _ = random_twophase_states(rng, 50, WATER, AIR)
-    s = tp.mixture_entropy(w, WATER, AIR)
-    assert np.all(np.isfinite(s))
-
-
 @pytest.mark.parametrize("batch", [(), (2,)])
 def test_cons_and_local_flux_is_component_major(rng, batch):
     """The conserved state and local flux of component-major (n, 7) and
     (2, n, 7) primitives: the conserved state is tp_cons_from_prim's and
-    the flux at p_i = 0 is phys_flux's, bitwise, and each component of
-    both is one contiguous block."""
+    each component of both is one contiguous block."""
     n = 64
     states = np.stack([random_twophase_states(rng, n, WATER, AIR)[0]
                        for _ in range(2)])
@@ -180,8 +176,6 @@ def test_cons_and_local_flux_is_component_major(rng, batch):
     uc, phi = tp.tp_cons_and_local_flux(w, p_i, WATER, AIR)
     assert uc.shape == phi.shape == batch + (n, 7)
     assert np.array_equal(uc, tp.tp_cons_from_prim(w, WATER, AIR))
-    assert np.array_equal(tp.tp_cons_and_local_flux(w, 0.0, WATER, AIR)[1],
-                          tp.phys_flux(w, WATER, AIR))
     for j in range(7):
         assert uc[..., j].flags.c_contiguous
         assert phi[..., j].flags.c_contiguous
