@@ -413,9 +413,13 @@ def _reference_field(case, n_ref=2000):
     mesh = _driver.Mesh1D(case.x_min, case.x_max, case.n_cells)
     if (case.model == "euler" and case.eos1.b == 0.0
             and case.boundary == "transmissive"):
-        sol = _exact.solve_exact(case.left, case.right, case.eos1)
-        return _exact.sample(
-            sol, (mesh.centers - case.x_disc) / case.end_time), "exact"
+        try:
+            sol = _exact.solve_exact(case.left, case.right, case.eos1)
+        except _exact.VacuumError:
+            pass  # the data open a vacuum: no exact solution
+        else:
+            return _exact.sample(
+                sol, (mesh.centers - case.x_disc) / case.end_time), "exact"
     if n_ref < case.n_cells or n_ref % case.n_cells:
         raise ConfigError(f"n_ref must be a positive multiple of mesh.n_cells"
                           f" = {case.n_cells}, got {n_ref!r}")
@@ -435,6 +439,9 @@ def compare_solvers(case, solvers=None, n_ref=2000):
     if solvers is None:
         solvers = EULER_SOLVERS if case.model == "euler" else TWOPHASE_SOLVERS
     runs = [replace(case, solver=s).validate() for s in solvers]
+    for i, s in enumerate(solvers):
+        if s in solvers[:i]:
+            raise ConfigError(f"solver {s!r} is listed twice")
     ref, label = _reference_field(case, n_ref)
     mesh = _driver.Mesh1D(case.x_min, case.x_max, case.n_cells)
     cols = EULER_COLUMNS[1:4] if case.model == "euler" else TP_COLUMNS[1:8]

@@ -18,7 +18,6 @@ from . import cases as _cases
 from . import driver as _driver
 from .eos import EosDomainError
 from .euler import PositivityError
-from .exact_riemann import VacuumError
 from .relaxation import RelaxationError
 
 __all__ = ["main"]
@@ -165,7 +164,7 @@ def main(argv=None):
         print(f"error: {msg}", file=sys.stderr)
         return 2
     except (_driver.StepError, RelaxationError, EosDomainError,
-            PositivityError, VacuumError, MemoryError) as err:
+            PositivityError, MemoryError) as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
 

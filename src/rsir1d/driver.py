@@ -365,6 +365,9 @@ def run(case):
         while t < t_out * (1.0 - 1e-14):
             dt = cfl_dt(model.max_speed(w), dx, case.cfl)
             dt = min(dt, t_out - t)  # land exactly on output times
+            if t_out + dt == t_out:  # the clock would stall below t_out
+                raise StepError(f"step {step}: dt = {dt!r} cannot advance "
+                                f"t = {t!r} to the output time {t_out!r}")
             for attempt in range(12):
                 try:
                     # binds u and w only once the step has succeeded

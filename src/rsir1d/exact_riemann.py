@@ -14,8 +14,6 @@ from . import eos as _eos
 
 __all__ = ["VacuumError", "ExactSolution", "solve_exact", "sample", "l1_error"]
 
-_MAX_ITER = 100
-
 
 class VacuumError(ValueError):
     """Initial data generate vacuum; no oracle solution exists."""
@@ -37,29 +35,26 @@ class ExactSolution:
 
 
 def _side_function(p, w, eos):
-    """Pressure function f_K(p), its derivative and the star density
-    rho*_K for one side: a shock if pi > pi_K, else a rarefaction."""
+    """Pressure function f_K(p) and the star density rho*_K for one side:
+    a shock if pi > pi_K, else a rarefaction."""
     g = eos.gamma
     rho, _, pk = w
     pi_k = pk + eos.p_inf
     pi = p + eos.p_inf
     if pi > pi_k:  # shock, Rankine-Hugoniot density
-        a = 2.0 / ((g + 1.0) * rho)
-        b = (g - 1.0) / (g + 1.0) * pi_k
-        q = np.sqrt(a / (pi + b))
-        f = (pi - pi_k) * q
-        df = q * (1.0 - 0.5 * (pi - pi_k) / (pi + b))
         gr = (g - 1.0) / (g + 1.0)
-        return f, df, rho * (pi / pi_k + gr) / (gr * pi / pi_k + 1.0)
+        f = (pi - pi_k) * np.sqrt(2.0 / ((g + 1.0) * rho) / (pi + gr * pi_k))
+        return f, rho * (pi / pi_k + gr) / (gr * pi / pi_k + 1.0)
     c = np.sqrt(g * pi_k / rho)
     f = 2.0 * c / (g - 1.0) * ((pi / pi_k) ** ((g - 1.0) / (2.0 * g)) - 1.0)
-    df = (pi / pi_k) ** (-(g + 1.0) / (2.0 * g)) / (rho * c)
-    return f, df, rho * (pi / pi_k) ** (1.0 / g)
+    return f, rho * (pi / pi_k) ** (1.0 / g)
 
 
 def solve_exact(wl, wr, eos):
-    """Exact (p*, u*) by Newton iteration on the pressure function, with a
-    two-rarefaction initial guess and bisection fallback."""
+    """Exact (p*, u*) by bisection on the pressure function, which rises
+    with p: the bracket keeps a residual <= 0 at its lower end and >= 0 at
+    its upper end, p*, and is halved until the ends are neighbouring
+    floats."""
     if eos.b != 0.0:
         raise ValueError("exact solver supports ideal/SG EOS only (b = 0)")
     wl = np.asarray(wl, dtype=float)
@@ -72,50 +67,31 @@ def solve_exact(wl, wr, eos):
     if u_r - u_l >= 2.0 * (cl + cr) / (g - 1.0):
         raise VacuumError("initial velocity divergence creates vacuum")
 
-    pi_l, pi_r = p_l + eos.p_inf, p_r + eos.p_inf
-    # two-rarefaction guess in the shifted pressure
-    z = (g - 1.0) / (2.0 * g)
-    pi_tr = ((cl + cr - 0.5 * (g - 1.0) * (u_r - u_l))
-             / (cl / pi_l**z + cr / pi_r**z)) ** (1.0 / z)
-    p = max(pi_tr - eos.p_inf, -eos.p_inf + 1e-12 * max(pi_l, pi_r))
+    def residual(p):
+        return (_side_function(p, wl, eos)[0] + _side_function(p, wr, eos)[0]
+                + (u_r - u_l))
 
-    tol, res_tol = 1e-12 * max(p_l, p_r, 1.0), 1e-10 * max(p_l, p_r, 1.0)
-    # bisection bracket, expanded until the residual changes sign
-    p_lo = -eos.p_inf + 1e-12 * max(pi_l, pi_r)
-    p_hi = max(p_l, p_r)
-    while (_side_function(p_hi, wl, eos)[0] + _side_function(p_hi, wr, eos)[0]
-           + (u_r - u_l)) < 0.0:
-        p_hi = 2.0 * p_hi + max(pi_l, pi_r)
-
-    for it in range(1, _MAX_ITER + 1):
-        fl, dfl, _ = _side_function(p, wl, eos)
-        fr, dfr, _ = _side_function(p, wr, eos)
-        res = fl + fr + (u_r - u_l)
-        if res > 0.0:
-            p_hi = min(p_hi, p)
+    pi_max = max(p_l, p_r) + eos.p_inf
+    lo, hi = -eos.p_inf + 1e-12 * pi_max, max(p_l, p_r)
+    while residual(hi) < 0.0:  # expand until the residual changes sign
+        hi = 2.0 * hi + pi_max
+    it, mid = 0, 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if residual(mid) > 0.0:
+            hi = mid
         else:
-            p_lo = max(p_lo, p)
-        p_new = p - res / (dfl + dfr)
-        if not (p_lo < p_new < p_hi):
-            p_new = 0.5 * (p_lo + p_hi)
-        done = abs(p_new - p) <= tol and abs(res) <= res_tol
-        p = p_new
-        if done:
-            break
-    else:
-        if abs(res) > res_tol:
-            raise RuntimeError("exact Riemann iteration failed to converge "
-                               f"(residual {res!r})")
+            lo = mid
+        it, mid = it + 1, 0.5 * (lo + hi)
 
-    fl, _, rho_star_l = _side_function(p, wl, eos)
-    fr, _, rho_star_r = _side_function(p, wr, eos)
-    wave_l, wave_r = ("shock" if p + eos.p_inf > w[2] + eos.p_inf
+    fl, rho_star_l = _side_function(hi, wl, eos)
+    fr, rho_star_r = _side_function(hi, wr, eos)
+    wave_l, wave_r = ("shock" if hi + eos.p_inf > w[2] + eos.p_inf
                       else "rarefaction" for w in (wl, wr))
     return ExactSolution(
-        p_star=float(p), u_star=float(0.5 * (u_l + u_r) + 0.5 * (fr - fl)),
+        p_star=float(hi), u_star=float(0.5 * (u_l + u_r) + 0.5 * (fr - fl)),
         rho_star_l=float(rho_star_l), rho_star_r=float(rho_star_r),
         wave_l=wave_l, wave_r=wave_r, wl=wl, wr=wr, eos=eos,
-        residual=float(abs(res)), iterations=it,
+        residual=float(abs(fl + fr + (u_r - u_l))), iterations=it,
     )
 
 

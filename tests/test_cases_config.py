@@ -209,6 +209,16 @@ def test_compare_solvers_walls_use_the_fine_reference(boundary):
     assert table["hllc"]["rho"] < 0.05
 
 
+def test_compare_solvers_vacuum_data_use_the_fine_reference():
+    """Data that open a vacuum have no oracle solution, so the reference
+    is the fine-mesh HLLC run."""
+    case = replace(cases.builtin_case("euler-shock-tube"),
+                   left=(1.0, -5000.0, 1e5))
+    label, table = cases.compare_solvers(case, solvers=("hll",), n_ref=200)
+    assert label == "fine-mesh hllc (200 cells)"
+    assert set(table) == {"hll"}
+
+
 def test_nasg_phase_rejected_for_sg_only_closures():
     """Pressure relaxation and rsir-tp assume SG/ideal phases; a NASG
     phase is rejected up front, and the other two-phase solvers take it."""

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
+from rsir1d import cases
 from rsir1d import eos as _eos
 from rsir1d import exact_riemann as ex
 from conftest import random_euler_states
@@ -48,11 +49,22 @@ def test_random_pairs_satisfy_jump_conditions(rng):
             sol = ex.solve_exact(a, b, AIR)
         except ex.VacuumError:
             continue
-        fl, _, _ = ex._side_function(sol.p_star, a, AIR)
-        fr, _, _ = ex._side_function(sol.p_star, b, AIR)
+        fl, _ = ex._side_function(sol.p_star, a, AIR)
+        fr, _ = ex._side_function(sol.p_star, b, AIR)
         u_from_l = a[1] - fl
         u_from_r = b[1] + fr
         assert u_from_l == pytest.approx(u_from_r, abs=1e-6 * (abs(sol.u_star) + 1.0))
+
+
+@pytest.mark.parametrize("name", ["euler-contact-rest",
+                                  "euler-contact-transport"])
+def test_contact_has_the_data_pressure_exactly(name):
+    """Equal pressures and velocities: p* is the data pressure and u* the
+    data velocity, to the last bit."""
+    case = cases.builtin_case(name)
+    sol = ex.solve_exact(case.left, case.right, case.eos1)
+    assert sol.p_star == case.left[2] == 1e5
+    assert sol.u_star == case.left[1]
 
 
 def test_sg_reduces_to_shifted_ideal():
@@ -185,3 +197,25 @@ def test_mirrored_problem_gives_the_mirrored_solution(problem):
     assert np.array_equal(got[~contact], want[~contact])
     assert (got[contact] == FLIP * [sol.rho_star_l, sol.u_star,
                                     sol.p_star]).all()
+
+
+def _residual(p, sol):
+    """The pressure function f_L(p) + f_R(p) + u_R - u_L of the oracle."""
+    return (ex._side_function(p, sol.wl, sol.eos)[0]
+            + ex._side_function(p, sol.wr, sol.eos)[0]
+            + (sol.wr[1] - sol.wl[1]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_problems())
+def test_p_star_is_the_float_where_the_residual_changes_sign(problem):
+    """p* has a residual >= 0 and the float below it one <= 0, so no
+    float is closer to the root."""
+    eos, wl, wr = problem
+    try:
+        sol = ex.solve_exact(wl, wr, eos)
+    except ex.VacuumError:
+        reject()
+    assert (_residual(np.nextafter(sol.p_star, -np.inf), sol) <= 0.0
+            <= _residual(sol.p_star, sol))
+    assert sol.residual == abs(_residual(sol.p_star, sol))
