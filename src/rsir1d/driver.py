@@ -358,7 +358,7 @@ def run(case):
     t = 0.0
     step = 0
     max_defect = 0.0
-    n_fallback = n_clamp = n_reject = n_bisect = 0
+    n_fallback = n_clamp = n_reject = 0
     max_residual = max_energy_defect = 0.0
 
     for t_out in out_times:
@@ -391,7 +391,6 @@ def run(case):
                 u, w, report = model.sources(state, dt)
                 sums = _sums(u)
                 if report is not None:
-                    n_bisect += report.iterations > 0
                     max_residual = _nan_max(max_residual, report.residual)
                     max_energy_defect = _nan_max(max_energy_defect,
                                                  report.conservation_defect)
@@ -414,7 +413,6 @@ def run(case):
         "positivity_fallbacks": n_fallback,
         "alpha_clamps": n_clamp,
         "dt_rejections": n_reject,
-        "relax_bisection_steps": n_bisect,
         "max_relax_residual": max_residual,
         "max_relax_energy_defect": max_energy_defect,
     }

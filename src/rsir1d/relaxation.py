@@ -29,96 +29,52 @@ class RelaxationError(RuntimeError):
 
 @dataclass
 class RelaxReport:
+    """What one :func:`pressure_relax_stiff` call did. The root is closed
+    form, so ``iterations`` is always 0; it stays only because the
+    benchmark tracer (``perfbench/tracer.py``) reads it."""
     p_eq: np.ndarray
     iterations: int
     residual: float          # max relative |p1 - p2| after relaxation
     conservation_defect: float  # max relative mixture-energy drift
 
 
-def _saturation_residual(p, coeffs, eos1, eos2):
-    A1, B1, A2, B2 = coeffs
-    return ((A1 + B1 * p) / (p + eos1.p_inf)
-            + (A2 + B2 * p) / (p + eos2.p_inf) - 1.0)
-
-
-def _equilibrium_pressure(coeffs, p1, p2, eos1, eos2):
-    """(p_eq, bisection iterations): the admissible root of the saturation
-    quadratic, refined by bisection where the closed form is unusable."""
-    A1, B1, A2, B2 = coeffs
-    pi1, pi2 = eos1.p_inf, eos2.p_inf
-    qa = B1 + B2 - 1.0
-    qb = A1 + A2 + B1 * pi2 + B2 * pi1 - pi1 - pi2
-    qc = A1 * pi2 + A2 * pi1 - pi1 * pi2
-    disc = qb * qb - 4.0 * qa * qc
-    bad = disc < 0.0
-    sq = np.sqrt(np.where(bad, 0.0, disc))
-    # qa < 0 always (sum of B_k < 1); the admissible branch is the larger root
-    r1 = (-qb - sq) / (2.0 * qa)
-    r2 = (-qb + sq) / (2.0 * qa)
-    p_floor = -min(pi1, pi2)
-    p_eq = np.where(r1 > p_floor, r1, r2)
-    iters = 0
-
-    admissible = (~bad) & (p_eq > p_floor) \
-        & (np.abs(_saturation_residual(p_eq, coeffs, eos1, eos2)) < 1e-9)
-    if not np.all(admissible):
-        # safeguarded bisection on the saturation residual
-        idx = ~admissible
-        lo = np.full(np.count_nonzero(idx), p_floor + 1e-30)
-        hi = np.maximum(p1[idx], p2[idx]) + 1.0
-        sub = tuple(c[idx] for c in coeffs)
-        for _ in range(200):
-            if np.all(_saturation_residual(hi, sub, eos1, eos2) < 0.0):
-                break
-            hi *= 2.0
-        if np.any(_saturation_residual(lo, sub, eos1, eos2) < 0.0):
-            raise RelaxationError("no admissible pressure-equilibrium root")
-        for iters in range(1, 200):
-            mid = 0.5 * (lo + hi)
-            gm = _saturation_residual(mid, sub, eos1, eos2)
-            lo = np.where(gm > 0.0, mid, lo)
-            hi = np.where(gm <= 0.0, mid, hi)
-            if np.max(hi - lo) <= 1e-14 * np.max(np.abs(hi) + 1.0):
-                break
-        p_eq = np.where(idx, 0.0, p_eq)
-        p_eq[idx] = 0.5 * (lo + hi)
-    return p_eq, iters
-
-
 def pressure_relax_stiff(uc, w, eos1, eos2):
     """Instantaneous pressure equilibration (SG/ideal phases) of conserved
     states ``uc`` with primitives ``w`` (``tp_prim_from_cons(uc)``).
 
-    Phase masses and momenta are untouched; phase internal energies are
-    updated by interface-pressure work e_k' = e_k - p_eq (v_k' - v_k).
-    Imposing the saturation constraint yields a quadratic in p_eq; the
-    admissible root is refined by bisection when the closed form is
-    unusable.  Returns new arrays (relaxed state, RelaxReport, its
-    primitives); the primitives are :func:`twophase.tp_prim_from_cons` of
-    the relaxed state, so its alpha1 clamp and p_k > -p_inf check apply.
+    Phase masses and momenta are untouched; conserving them and exchanging
+    interface-pressure work moves alpha_k by k_k (p_k - p)/(p + p_inf_k),
+    with k_k = alpha_k/gamma_k, and e_k by -p (alpha_k' - alpha_k).
+    Saturation (the two moves cancel) is a quadratic in p whose larger root
+    is p_eq; :class:`RelaxationError` is raised unless p_eq > -min(p_inf).
+    Returns new arrays (relaxed state, RelaxReport, its primitives); the
+    primitives are :func:`twophase.tp_prim_from_cons` of the relaxed
+    state, so its alpha1 clamp and p_k > -p_inf check apply.
     """
     if eos1.b != 0.0 or eos2.b != 0.0:
         raise ValueError("pressure relaxation supports SG/ideal phases only")
     uc_in = np.asarray(uc, dtype=float)
     uc = uc_in.reshape(-1, 7)
     w = np.asarray(w, dtype=float).reshape(-1, 7)
-    a1 = w[:, 0]
-    a2 = 1.0 - a1
-    g1, g2 = eos1.gamma, eos2.gamma
+    a1, p1, p2 = w[:, 0], w[:, 3], w[:, 6]
     pi1, pi2 = eos1.p_inf, eos2.p_inf
-    # alpha_k'(p) = (A_k + B_k p)/(p + p_inf_k) for SG/ideal phases, from
-    # conserving phase masses and exchanging interface-pressure work
-    coeffs = A1, B1, A2, B2 = (
-        a1 * (w[:, 3] + g1 * pi1) / g1, a1 * (g1 - 1.0) / g1,
-        a2 * (w[:, 6] + g2 * pi2) / g2, a2 * (g2 - 1.0) / g2)
-    p_eq, iters = _equilibrium_pressure(coeffs, w[:, 3], w[:, 6], eos1, eos2)
-    # new volume fractions at p_eq; each phase's energy takes the
-    # interface-pressure work -p_eq (alpha_k' - alpha_k)
+    k1 = a1 / eos1.gamma
+    k2 = (1.0 - a1) / eos2.gamma
+    # (k1 + k2) p^2 + b p + c = 0; q takes the sign of b so that nothing
+    # cancels, and the roots are q/(k1 + k2) and c/q
+    b = k1 * (pi2 - p1) + k2 * (pi1 - p2)
+    c = -(k1 * p1 * pi2 + k2 * p2 * pi1)
+    q = -0.5 * (b + np.copysign(
+        np.sqrt(np.maximum(b * b - 4.0 * (k1 + k2) * c, 0.0)), b))
+    p_eq = np.maximum(q / (k1 + k2), c / q)
+    if not np.all(p_eq > -min(pi1, pi2)):
+        raise RelaxationError("no admissible pressure-equilibrium root")
     out = np.copy(uc)
-    a1p = np.divide(A1 + B1 * p_eq, p_eq + pi1, out=out[:, 0])
-    out[:, 3] -= p_eq * (a1p - a1)
-    out[:, 6] -= p_eq * ((A2 + B2 * p_eq) / (p_eq + pi2) - a2)
-    del coeffs, A1, B1, A2, B2, a2  # free these before the recovery
+    da1 = k1 * (p1 - p_eq) / (p_eq + pi1)
+    a1p = np.add(a1, da1, out=out[:, 0])
+    out[:, 3] -= p_eq * da1
+    out[:, 6] -= p_eq * (k2 * (p2 - p_eq) / (p_eq + pi2))
+    del k1, k2, b, c, q, da1  # free these before the recovery
     w_out = _tp.tp_prim_from_cons(out, eos1, eos2)
     p1, p2 = w_out[:, 3], w_out[:, 6]
     # a clamped alpha1, not the relaxation, sets the pressures of its cells
@@ -130,9 +86,8 @@ def pressure_relax_stiff(uc, w, eos1, eos2):
     e_after = out[:, 3] + out[:, 6]
     defect = float(np.max(np.abs(e_after - e_before)
                           / (np.abs(e_before) + 1e-300)))
-    report = RelaxReport(p_eq=p_eq.reshape(uc_in.shape[:-1]),
-                         iterations=iters, residual=residual,
-                         conservation_defect=defect)
+    report = RelaxReport(p_eq=p_eq.reshape(uc_in.shape[:-1]), iterations=0,
+                         residual=residual, conservation_defect=defect)
     return out.reshape(uc_in.shape), report, w_out.reshape(uc_in.shape)
 
 

@@ -89,10 +89,10 @@ CASES = {
     "HLL apparent density, phase 2": (
         lambda: twophase.tp_hll_state(*_hll_inputs(4)),
         PositivityError, "non-positive HLL apparent density for phase 2"),
-    "pressure-equilibrium root": (  # air at 1e-35 Pa beside water
+    "pressure-equilibrium root": (  # primitives with the air at -1 Pa
         lambda: relaxation.pressure_relax_stiff(
-            twophase.tp_cons_from_prim(_tp_state(p2=1e-35), WATER, AIR),
-            _tp_state(p2=1e-35), WATER, AIR),
+            twophase.tp_cons_from_prim(_tp_state(p2=-1.0), WATER, AIR),
+            _tp_state(p2=-1.0), WATER, AIR),
         RelaxationError, "no admissible pressure-equilibrium root"),
     "time of an L1 error": (
         lambda: exact_riemann.l1_error(

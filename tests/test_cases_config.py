@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +59,19 @@ def test_parse_config_roundtrip():
     assert case.eos1.p_inf == 6e8
     assert case.left == (1100.0, 0.0, 1e8)
     assert case.output_times == (5e-5,)
+
+
+def test_readme_config_block_lists_every_key_and_parses():
+    """README's sample config file parses and names every config key."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("Config files are flat", 1)[1]
+    block = block.split("```\n", 2)[1]
+    cases.parse_config(block)
+    keys = {ln.split("=")[0].strip() for ln in block.splitlines()
+            if "=" in ln.split("#")[0]}
+    want = {*cases._KEYS, "eos2.preset",
+            *(f"eos1.{f}" for f in cases._EOS_KEYS)}
+    assert want <= keys, f"README config block lacks {want - keys}"
 
 
 def test_parse_config_explicit_eos_fields():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from rsir1d.euler import PositivityError
 WATER = _eos.preset("water-sg")
 AIR = _eos.preset("air-ideal")
 SG_CARRIER = _eos.EosParams(gamma=1.9, p_inf=2e6)  # a stiffened-gas phase 2
+STIFF_LIQUID = _eos.EosParams(gamma=2.8, p_inf=8.5e8)
 
 
 def random_disequilibrium_states(rng, n, eos2=AIR):
@@ -81,7 +84,7 @@ def test_matches_bisection_oracle(rng):
     for eos2 in (AIR, SG_CARRIER):  # the quadratic with p_inf2 = 0 and > 0
         uc = random_disequilibrium_states(rng, 64, eos2)
         out, rep, _ = relax(uc, WATER, eos2)
-        assert rep.iterations == 0  # the quadratic's root, not bisection
+        assert rep.iterations == 0  # the closed-form root
         for i in range(uc.shape[0]):
             p_ref = bisect_equilibrium(uc[i], WATER, eos2)
             assert rep.p_eq[i] == pytest.approx(p_ref, rel=1e-10, abs=1e-4)
@@ -134,19 +137,55 @@ def test_relaxed_primitives_are_the_recovery_of_the_relaxed_state(rng):
     assert str(exc.value).startswith("recovered phase pressure below -p_inf")
 
 
-def test_bisection_branch_matches_the_oracle():
-    """Air at 3 mPa beside water: the closed-form root fails the residual
-    check, so the cell is solved by bisection, and its pressure and
-    primitives are as exact as on the closed-form branch."""
+def test_root_is_exact_for_air_at_3_mpa_beside_water():
+    """Air at 3 mPa beside water, where a closed form whose coefficients
+    cancel at the p_inf scale misses the root: the pressure and
+    primitives are as exact as for any other state."""
     w = np.array([0.7995322046405273, 2679.120966973448, -86.7459278781829,
                   567349.4211209188, 5.340546317137792, -5.971697613955318,
                   0.003227645137042819])
     uc = tp.tp_cons_from_prim(w, WATER, AIR)
     out, rep, w_out = relax(uc)
-    assert rep.iterations > 0
     assert rep.p_eq == pytest.approx(bisect_equilibrium(uc, WATER, AIR),
                                      rel=1e-10)
     assert w_out.tobytes() == tp.tp_prim_from_cons(out, WATER, AIR).tobytes()
+
+
+def test_air_at_1e_minus_35_pa_relaxes():
+    """The root of water beside air at 1e-35 Pa lies just above the air's
+    pressure, far below any fixed offset from the floor p = 0."""
+    w = np.array([0.5, 1000.0, 0.0, 1e5, 1.0, 0.0, 1e-35])
+    _, rep, _ = rlx.pressure_relax_stiff(tp.tp_cons_from_prim(w, WATER, AIR),
+                                         w, WATER, AIR)
+    assert 0.0 < rep.p_eq < 2e-35
+
+
+@pytest.mark.parametrize("eos2", [AIR, SG_CARRIER, STIFF_LIQUID],
+                         ids=["air", "sg-carrier", "stiff-liquid"])
+def test_root_brackets_the_exact_saturation_root(rng, eos2):
+    """In exact rational arithmetic, the saturation numerator
+    k1 (p1 - p)(p + p_inf2) + k2 (p2 - p)(p + p_inf1), k_k = alpha_k/gamma_k,
+    is > 0 at p_eq (1 - 1e-14) and < 0 at p_eq (1 + 1e-14), for phase
+    pressures from 1 mPa to 300 MPa."""
+    n = 300
+    a1 = rng.uniform(0.05, 0.95, size=n)
+    p1, p2 = 10.0 ** rng.uniform(-3.0, np.log10(3e8), size=(2, n))
+    w = np.stack([a1, np.full(n, 1000.0), np.zeros(n), p1,
+                  np.full(n, 1.0), np.zeros(n), p2], axis=-1)
+    _, rep, _ = rlx.pressure_relax_stiff(tp.tp_cons_from_prim(w, WATER, eos2),
+                                         w, WATER, eos2)
+    pi1, pi2 = Fraction(WATER.p_inf), Fraction(eos2.p_inf)
+    for i, p_eq in enumerate(rep.p_eq):
+        k1 = Fraction(a1[i]) / Fraction(WATER.gamma)
+        k2 = (1 - Fraction(a1[i])) / Fraction(eos2.gamma)
+
+        def numerator(p):
+            p = Fraction(p)
+            return (k1 * (Fraction(p1[i]) - p) * (p + pi2)
+                    + k2 * (Fraction(p2[i]) - p) * (p + pi1))
+
+        assert numerator(p_eq - 1e-14 * abs(p_eq)) > 0, i
+        assert numerator(p_eq + 1e-14 * abs(p_eq)) < 0, i
 
 
 def test_covolume_rejected():
