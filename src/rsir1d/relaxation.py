@@ -144,7 +144,8 @@ def drag_clift_gauvin(uc, radius, mu2, dt):
     if radius <= 0.0 or mu2 <= 0.0:
         raise ValueError("radius and viscosity must be positive")
     uc = np.array(uc, dtype=float, order="K")
-    a1 = uc[..., 0]
+    # clamped as tp_prim_from_cons clamps it, so that rho2 stays positive
+    a1 = np.clip(uc[..., 0], _tp.ALPHA_FLOOR, 1.0 - _tp.ALPHA_FLOOR)
     remaining = dt
     steps = 0
     while remaining > 0.0:

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,6 +11,8 @@ from rsir1d import exact_riemann as ex
 from rsir1d import twophase as tp
 from rsir1d.eos import EosDomainError
 from conftest import random_euler_states, random_twophase_states
+from probes import (SOURCES, counted_calls_per_step, first_step,
+                    odd_even_amplitude, traced_peak, two_step_tp_peak)
 
 
 def test_mesh_basics():
@@ -232,11 +232,8 @@ def test_output_time_zero_is_the_initial_state(name):
     recovered from the initial conserved states, as the first snapshot,
     at t = 0.0 and bit for bit; the later snapshots are unchanged."""
     case = replace(cases.builtin_case(name), output_times=(0.0, 1e-4))
-    model = (driver._euler_model if case.model == "euler"
-             else driver._tp_model)(case)
-    centers = driver.Mesh1D(case.x_min, case.x_max, case.n_cells).centers
-    w0 = model.to_prim(model.to_cons(np.where(
-        (centers < case.x_disc)[:, None], [case.left], [case.right])))
+    w0 = first_step(case, driver._euler_model if case.model == "euler"
+                    else driver._tp_model)[2]
     ref = driver.run(replace(case, output_times=(1e-4,)))
     for zero in (0.0, -0.0):
         res = driver.run(replace(case, output_times=(zero, 1e-4)))
@@ -276,34 +273,6 @@ def test_snapshots_do_not_alias_the_final_state():
         res.final_cons, case.eos1, case.eos2))
 
 
-def _counted_calls_per_step(monkeypatch, case, targets):
-    """Calls per step of each (module, function) target, counted between
-    a run's first and last ``cfl_dt`` call (the call that opens a step);
-    each such window holds one step and the next wave-speed estimate."""
-    events = []
-
-    def counting(label, fn):
-        def wrapper(*args, **kwargs):
-            events.append(label)
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for module, name in list(targets) + [(driver, "cfl_dt")]:
-        label = f"{module.__name__.rsplit('.', 1)[-1]}.{name}"
-        monkeypatch.setattr(module, name,
-                            counting(label, getattr(module, name)))
-    res = driver.run(case)
-    marks = [i for i, e in enumerate(events) if e == "driver.cfl_dt"]
-    assert len(marks) == res.manifest["steps"] > 2
-    assert res.manifest["dt_rejections"] == 0
-    window = events[marks[0]:marks[-1]]
-    per_step = {}
-    for e in window:
-        if e != "driver.cfl_dt":
-            per_step[e] = per_step.get(e, 0) + 1 / (len(marks) - 1)
-    return per_step
-
-
 EOS_FUNCTIONS = [(_eos, name) for name in
                  ("pressure", "internal_energy", "sound_speed", "entropy")]
 
@@ -312,22 +281,22 @@ def _eos_calls(per_step):
     return sum(v for k, v in per_step.items() if k.startswith("eos."))
 
 
-def test_euler_step_converts_each_state_once(monkeypatch):
+def test_euler_step_converts_each_state_once():
     """Public EOS calls per step: the CFL sound speed, the predictor's
     internal energy and pressure, the interface flux's internal energy
     (both sides as one batch; its squared sound speed comes from the
     private ``eos._sound_speed_sq``) and the update's pressure."""
     targets = [(_euler, "prim_from_cons")] + EOS_FUNCTIONS
     case = replace(cases.builtin_case("euler-shock-tube"), solver="rsir")
-    per_step = _counted_calls_per_step(monkeypatch, case, targets)
+    per_step = counted_calls_per_step(case, targets)
     assert per_step["euler.prim_from_cons"] == pytest.approx(2.0)
     assert _eos_calls(per_step) == pytest.approx(5.0)
 
 
-def test_nasg_step_eos_calls(monkeypatch):
+def test_nasg_step_eos_calls():
     case = cases.builtin_case("water-nasg-shock-tube")
     assert case.solver == "rsir" and case.eos1.b > 0.0
-    per_step = _counted_calls_per_step(monkeypatch, case, EOS_FUNCTIONS)
+    per_step = counted_calls_per_step(case, EOS_FUNCTIONS)
     assert _eos_calls(per_step) == pytest.approx(5.0)
 
 
@@ -345,19 +314,22 @@ def test_inadmissible_rsir_star_states_fall_back_per_interface(limiter):
     assert res.manifest["dt_rejections"] == 0
 
 
-def test_relaxed_two_phase_step_recovers_primitives_three_times(monkeypatch):
-    """The predicted edges, the update and the relaxed state, which
-    relaxation recovers through tp_prim_from_cons itself."""
-    case = replace(cases.builtin_case("tp-shock-tube-long"), n_cells=200,
-                   end_time=2e-4, output_times=())
-    assert case.pressure_relax
-    per_step = _counted_calls_per_step(
-        monkeypatch, case, [(tp, "tp_prim_from_cons")])
-    assert per_step["twophase.tp_prim_from_cons"] == pytest.approx(3.0)
+@pytest.mark.parametrize("source, calls", zip(SOURCES, [2, 3, 3, 2, 4]))
+def test_two_phase_step_recovers_primitives_once_per_state(source, calls):
+    """The predicted edges and the update, then the relaxed and the
+    dragged state, which each source recovers through tp_prim_from_cons
+    itself; constant drag with lambda = 0 is skipped."""
+    case = cases.builtin_case("tp-shock-tube-long")
+    assert case.pressure_relax and case.drag_model == "none"
+    case = replace(case, n_cells=200, end_time=2e-4, output_times=(),
+                   **SOURCES[source])
+    (per_step,) = counted_calls_per_step(
+        case, [(tp, "tp_prim_from_cons")]).values()
+    assert per_step == pytest.approx(calls)
 
 
 @pytest.mark.parametrize("relax", [True, False])
-def test_constant_drag_with_zero_lambda_is_no_drag(monkeypatch, relax):
+def test_constant_drag_with_zero_lambda_is_no_drag(relax):
     """Constant drag with lambda = 0, CaseConfig's default lambda, is
     skipped: the run recovers primitives as often as one without drag
     (3 times per step with relaxation, 2 without), has no sources without
@@ -369,8 +341,7 @@ def test_constant_drag_with_zero_lambda_is_no_drag(monkeypatch, relax):
     ref, res = driver.run(case), driver.run(dragged)
     assert np.array_equal(res.final_cons, ref.final_cons)
     assert res.manifest["steps"] == ref.manifest["steps"]
-    per_step = _counted_calls_per_step(
-        monkeypatch, dragged, [(tp, "tp_prim_from_cons")])
+    per_step = counted_calls_per_step(dragged, [(tp, "tp_prim_from_cons")])
     assert per_step["twophase.tp_prim_from_cons"] == pytest.approx(
         3.0 if relax else 2.0)
 
@@ -386,7 +357,7 @@ def test_constant_drag_shrinks_the_slip():
 
 
 @pytest.mark.parametrize("solver", ["hll-tp", "rsir-tp"])
-def test_relaxed_two_phase_step_eos_calls(monkeypatch, solver):
+def test_relaxed_two_phase_step_eos_calls(solver):
     """Public EOS calls per relaxed step: the CFL sound speed, the
     predictor's internal energy and pressure per phase, the interface
     flux's carrier sound speed and internal energy per phase (both sides
@@ -394,7 +365,7 @@ def test_relaxed_two_phase_step_eos_calls(monkeypatch, solver):
     relaxed state."""
     case = replace(cases.builtin_case("tp-shock-tube"), solver=solver)
     assert case.pressure_relax and case.drag_model == "none"
-    per_step = _counted_calls_per_step(monkeypatch, case, EOS_FUNCTIONS)
+    per_step = counted_calls_per_step(case, EOS_FUNCTIONS)
     assert _eos_calls(per_step) == pytest.approx(12.0)
 
 
@@ -680,16 +651,6 @@ def test_manifest_maxima_keep_a_nan():
     assert np.isnan(m["max_conservation_defect"])
 
 
-def _traced_peak(fn):
-    """Peak traced memory in bytes while ``fn()`` runs."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("name", ["euler-shock-tube", "water-nasg-shock-tube"])
 def test_large_run_holds_four_states_and_one_block(monkeypatch, name):
     """A 2-step rsir run on 2e5 cells needs u, w, the new u and the new w,
@@ -703,47 +664,25 @@ def test_large_run_holds_four_states_and_one_block(monkeypatch, name):
     primitives) shows."""
     case = replace(cases.builtin_case(name), n_cells=200_000, solver="rsir",
                    beta=1.0, output_times=())
-    model = driver._euler_model(case)
-    dx = driver.Mesh1D(case.x_min, case.x_max, case.n_cells).dx
-    ends = np.array([case.left, case.right])
-    dt = driver.cfl_dt(model.max_speed(ends), dx, case.cfl)
+    model, _, _, dt, dx = first_step(case, driver._euler_model)
     case = replace(case, end_time=1.5 * dt)
     m = driver._BLOCK_FACES  # faces [0, m) read m + 3 cells
+    ends = np.array([case.left, case.right])
     cells = model.to_prim(model.to_cons(np.repeat(ends, [m // 2, m // 2 + 3],
                                                   axis=0)))
-    block_peak = _traced_peak(
+    _, block_peak = traced_peak(
         lambda: driver._faces(model, cells, 0.5 * dt / dx, False))
-    runs = []
-    run_peak = _traced_peak(lambda: runs.append(driver.run(case)))
-    assert runs[0].manifest["steps"] == 2
-    state = runs[0].final_cons.nbytes
+    res, run_peak = traced_peak(lambda: driver.run(case))
+    assert res.manifest["steps"] == 2
+    state = res.final_cons.nbytes
     assert state == case.n_cells * 3 * 8
     assert run_peak <= 5 * state + block_peak, (run_peak / state,
                                                 block_peak / state)
     monkeypatch.setattr(driver, "_BLOCK_FACES", 2 ** 10)
-    small_block_peak = _traced_peak(lambda: driver.run(case))
-    u1 = runs[0].final_cons
-    recovery_peak = _traced_peak(lambda: model.to_prim(u1))
+    _, small_block_peak = traced_peak(lambda: driver.run(case))
+    _, recovery_peak = traced_peak(lambda: model.to_prim(res.final_cons))
     assert small_block_peak < 3.5 * state + recovery_peak, (
         small_block_peak / state, recovery_peak / state)
-
-
-def _two_step_tp_peak(**fields):
-    """Traced peak, in state arrays, of a 2-step hll-tp run of
-    tp-shock-tube on 2e5 cells with ``fields`` replaced."""
-    case = replace(cases.builtin_case("tp-shock-tube"), n_cells=200_000,
-                   solver="hll-tp", output_times=(), **fields)
-    model = driver._tp_model(case)
-    dx = driver.Mesh1D(case.x_min, case.x_max, case.n_cells).dx
-    dt = driver.cfl_dt(model.max_speed(np.array([case.left, case.right])),
-                       dx, case.cfl)
-    case = replace(case, end_time=1.5 * dt)
-    runs = []
-    peak = _traced_peak(lambda: runs.append(driver.run(case)))
-    assert runs[0].manifest["steps"] == 2
-    state = runs[0].final_cons.nbytes
-    assert state == case.n_cells * 7 * 8
-    return peak / state
 
 
 @pytest.mark.parametrize("drag", ["none", "clift-gauvin"])
@@ -762,7 +701,7 @@ def test_relaxed_run_drops_its_report_before_the_next_step(drag):
       report's whole-mesh p_eq (1/7 of a state array) is not alive through
       the next step (5.00 while the report is kept)."""
     assert cases.builtin_case("tp-shock-tube").pressure_relax
-    peak = _two_step_tp_peak(drag_model=drag)
+    peak = two_step_tp_peak(drag_model=drag)
     assert peak < 4.95, peak
 
 
@@ -771,7 +710,7 @@ def test_drag_run_copies_the_state_once_per_step():
     pressure relaxation: drag copies the state once and updates the copy
     in place on every sub-step.  Its traced peak (5.43 state arrays) stays
     below 5.75; a new state per sub-step reads 6.29."""
-    peak = _two_step_tp_peak(drag_model="clift-gauvin", pressure_relax=False)
+    peak = two_step_tp_peak(drag_model="clift-gauvin", pressure_relax=False)
     assert peak < 5.75, peak
 
 
@@ -840,15 +779,6 @@ def test_rsir_tp_long_shock_tube_runs_to_its_end():
     assert res.snapshots[-1][0] == case.end_time
 
 
-def _odd_even_amplitude(a):
-    """A(a) = max over windows of 8 consecutive cells of |mean of
-    (-1)^j r_j|, where r_j = a_j - (a_{j-1} + a_{j+1}) / 2: the windowed
-    amplitude of the cell-scale (-1)^j mode of the field ``a``."""
-    r = a[1:-1] - 0.5 * (a[:-2] + a[2:])
-    r[1::2] *= -1.0
-    return float(np.max(np.abs(np.convolve(r, np.full(8, 1 / 8), "valid"))))
-
-
 _ODD_EVEN = pytest.mark.xfail(
     raises=AssertionError, strict=True,
     reason="the two-phase HLL fan's left bound sits on the dispersed phase, "
@@ -867,5 +797,5 @@ def test_first_order_tp_shock_tube_has_no_odd_even_mode(solver):
                    limiter="none", n_cells=1000)
     res = driver.run(case)
     assert res.snapshots[-1][0] == case.end_time
-    amplitude = _odd_even_amplitude(res.snapshots[-1][1][:, 0])
+    amplitude = odd_even_amplitude(res.snapshots[-1][1][:, 0])
     assert amplitude <= 1e-3, amplitude

@@ -6,6 +6,7 @@ from rsir1d import cases
 from rsir1d import eos as _eos
 from rsir1d import exact_riemann as ex
 from conftest import random_euler_states
+from probes import residual
 
 AIR = _eos.preset("air-ideal")
 WATER = _eos.preset("water-sg")
@@ -199,13 +200,6 @@ def test_mirrored_problem_gives_the_mirrored_solution(problem):
                                     sol.p_star]).all()
 
 
-def _residual(p, sol):
-    """The pressure function f_L(p) + f_R(p) + u_R - u_L of the oracle."""
-    return (ex._side_function(p, sol.wl, sol.eos)[0]
-            + ex._side_function(p, sol.wr, sol.eos)[0]
-            + (sol.wr[1] - sol.wl[1]))
-
-
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_problems())
 def test_p_star_is_the_float_where_the_residual_changes_sign(problem):
@@ -216,6 +210,6 @@ def test_p_star_is_the_float_where_the_residual_changes_sign(problem):
         sol = ex.solve_exact(wl, wr, eos)
     except ex.VacuumError:
         reject()
-    assert (_residual(np.nextafter(sol.p_star, -np.inf), sol) <= 0.0
-            <= _residual(sol.p_star, sol))
-    assert sol.residual == abs(_residual(sol.p_star, sol))
+    assert (residual(np.nextafter(sol.p_star, -np.inf), sol) <= 0.0
+            <= residual(sol.p_star, sol))
+    assert sol.residual == abs(residual(sol.p_star, sol))

@@ -270,6 +270,19 @@ def test_drag_integrates_the_whole_step_beside_a_stiff_cell():
     assert np.allclose(out[:, 3] + out[:, 6], uc[:, 3] + uc[:, 6], rtol=1e-12)
 
 
+def test_drag_reads_a_volume_fraction_above_one_as_clamped():
+    """A conserved alpha1 of 1.000005, as in the wall cell of reflective
+    tp-alpha-transport, is read as 1 - ALPHA_FLOOR, so rho2 stays positive
+    and the dragged state finite; slot 0 and the masses are kept."""
+    w = np.array([[1.0 - 1e-6, 1000.0, 0.0, 1e5, 1.0, 50.0, 1e5]])
+    uc = tp.tp_cons_from_prim(w, WATER, AIR)
+    uc[:, 0] = 1.000005
+    out = rlx.drag_clift_gauvin(uc, radius=1e-4, mu2=1.8e-5, dt=1e-3)
+    assert np.all(np.isfinite(out))
+    assert np.array_equal(out[:, [0, 1, 4]], uc[:, [0, 1, 4]])
+    assert np.allclose(out[:, 2] + out[:, 5], uc[:, 2] + uc[:, 5], rtol=1e-12)
+
+
 @pytest.mark.parametrize("drag", [
     lambda uc: rlx.velocity_relax(uc, 12.0, 1e-3),
     lambda uc: rlx.velocity_relax(uc, 0.0, 1e-3),
