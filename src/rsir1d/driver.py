@@ -291,18 +291,25 @@ def _faces(model, wg, half_lam, first_order):
     return [getattr(rec, f) for f in model.face_fields], rec.n_fallback
 
 
-def _step(model, u, w, sums, dt, dx, bc, first_order):
-    """Advance ``u``, with primitives ``w`` and column sums ``sums``, by dt.
-
-    Ghost cells are filled on the primitives: a reflective wall only
-    negates the velocity slots, so this equals recovering primitives from
-    ghosted conserved states.  Returns (u_new, w_new, column sums of
-    u_new, conservation defect, positivity fallbacks, alpha clamps); w_new
-    is the end-of-step recovery that also checks u_new for admissibility.
-    """
+def _step(model, u, held, sums, dt, dx, bc, first_order):
+    """Advance ``u``, with primitives ``held[0]`` and column sums ``sums``,
+    by dt: each block of faces updates the cells it closes, then ``held`` is
+    emptied, so that the end-of-step recovery w_new, which checks u_new,
+    runs beside u and u_new only.  Ghost cells are filled on the primitives
+    (a reflective wall only negates velocity slots).  Returns (u_new, w_new,
+    column sums of u_new, defect, positivity fallbacks, alpha clamps)."""
+    (w,) = held
     n, k = w.shape
-    half_lam = 0.5 * dt / dx
+    half_lam, lam = 0.5 * dt / dx, dt / dx
     fallbacks = 0
+    out = np.empty_like(u)
+
+    def close(rows, faces):  # the update of the cells rows that faces close
+        o = np.subtract(faces[0][1:], faces[0][:-1], out=out[rows])
+        o *= lam
+        np.subtract(u[rows], o, out=o)
+        if model.increment is not None:
+            model.increment(o, w[rows], faces[1:], dt, dx)
     # faces [a, b) read cells a-2..b: one contiguous copy of them, padded
     # with the ghost cells where it touches a mesh end
     g = _ghosts(w, bc, model.velocity_slots)
@@ -313,22 +320,16 @@ def _step(model, u, w, sums, dt, dx, bc, first_order):
             out=_euler._buffer(model.scratch, "cells", (b - a + 3, k)))
         block, n_fb = _faces(model, cells, half_lam, first_order)
         fallbacks += n_fb
-        if a == 0:
-            faces = block if b == n + 1 else [
-                _euler._component_major(np.empty(x.shape[1:] + (n + 1,)))
-                for x in block]
-        if faces is not block:
-            for j, x in enumerate(block):
-                faces[j][a:b] = x
-    f, block = faces[0], None  # a face field may view its block's u_hll
-    lam = dt / dx
-    out = np.subtract(f[1:], f[:-1])
-    out *= lam
-    np.subtract(u, out, out=out)
-    if model.increment is not None:
-        model.increment(out, w, faces[1:], dt, dx)
-    f, faces = f[::n].tolist(), None  # keep the end fluxes
-    defect, sums = _defect(model.totals, sums, out, f, lam)  # before w_out
+        if a:  # cell a - 1 lies between the last block's faces and these
+            close(slice(a - 1, a), [np.concatenate((x, y[:1]))
+                                    for x, y in zip(last, block)])
+        else:
+            f0 = block[0][0].tolist()
+        close(slice(a, b - 1), block)
+        last = [x[-1:].copy() for x in block]  # frees the block
+    del held[:], w, cells, block
+    defect, sums = _defect(model.totals, sums, out,  # before w_out
+                           (f0, last[0][0].tolist()), lam)
     w_out = model.to_prim(out)
     clamps = model.clamps(out) if model.clamps is not None else 0
     return out, w_out, sums, defect, fallbacks, clamps
@@ -358,7 +359,8 @@ def run(case):
     t = 0.0
     step = 0
     max_defect = 0.0
-    n_fallback = n_clamp = n_reject = 0
+    n_fallback = n_clamp = 0
+    causes = {}  # rejected attempts by exception class and message to "("
     max_residual = max_energy_defect = 0.0
 
     for t_out in out_times:
@@ -368,15 +370,20 @@ def run(case):
             if t_out + dt == t_out:  # the clock would stall below t_out
                 raise StepError(f"step {step}: dt = {dt!r} cannot advance "
                                 f"t = {t!r} to the output time {t_out!r}")
+            held, w = [w], None  # _step drops w before its recovery
             for attempt in range(12):
+                if not held:  # the recovery raised after _step dropped w
+                    held.append(model.to_prim(u))
                 try:
                     # binds u and w only once the step has succeeded
                     u, w, sums, defect, fallbacks, clamps = _step(
-                        model, u, w, sums, dt, dx, case.boundary, first_order)
+                        model, u, held, sums, dt, dx, case.boundary,
+                        first_order)
                     break
                 except (EosDomainError, PositivityError,
                         DegenerateFanError) as err:
-                    n_reject += 1
+                    key = f"{type(err).__name__}: {err}".split("(")[0].rstrip()
+                    causes[key] = causes.get(key, 0) + 1
                     dt *= 0.5
                     if attempt == 11:
                         raise StepError(
@@ -412,7 +419,8 @@ def run(case):
         "max_conservation_defect": max_defect,
         "positivity_fallbacks": n_fallback,
         "alpha_clamps": n_clamp,
-        "dt_rejections": n_reject,
+        "dt_rejections": sum(causes.values()),
+        "dt_rejection_causes": causes,
         "max_relax_residual": max_residual,
         "max_relax_energy_defect": max_energy_defect,
     }

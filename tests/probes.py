@@ -131,7 +131,16 @@ def _warm_run(case):
 
 
 def faults():
-    """Minor page faults per step of one-block runs, and their stores."""
+    """Minor page faults per step of one-block runs, and their stores, and
+    of the two large rsir runs of the euler-large benchmark."""
+    for name in ("euler-shock-tube", "water-nasg-shock-tube"):
+        case = replace(cases.builtin_case(name), n_cells=LARGE_CELLS,
+                       solver="rsir", beta=1.0, output_times=())
+        case = replace(case, end_time=2.5 * first_step(
+            case, driver._euler_model)[3])
+        us, per_step = _warm_run(case)
+        print(f"{name} n={LARGE_CELLS} rsir {us:8.1f} us/step "
+              f"{per_step:6.1f} minor faults/step")
     for n in FAULT_CELLS:
         for solver in cases.EULER_SOLVERS:
             case = replace(cases.builtin_case("euler-shock-tube"), n_cells=n,
@@ -162,7 +171,7 @@ def peaks():
                    n_cells=LARGE_CELLS, solver="rsir", output_times=())
     model, u, w, dt, dx = first_step(case, driver._euler_model)
     sums = driver._sums(u)
-    _, peak = traced_peak(lambda: driver._step(model, u, w, sums, dt, dx,
+    _, peak = traced_peak(lambda: driver._step(model, u, [w], sums, dt, dx,
                                             case.boundary, False))
     print(f"rsir step on 2e5 cells: traced peak {peak / 2**20:.1f} MiB"
           f" = {peak / u.nbytes:.2f} state arrays beyond u and w")

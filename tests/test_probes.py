@@ -30,3 +30,13 @@ def test_gated_probes_count_what_must_read_0(monkeypatch, capsys):
     monkeypatch.setattr(probes.euler, "rsir_flux",
                         lambda *args: types.SimpleNamespace(n_fallback=1))
     assert probes.fallbacks() == 3
+
+
+def test_faults_prints_the_large_rsir_runs(capsys):
+    """The faults probe covers both items of the euler-large benchmark,
+    each on a mesh of LARGE_CELLS cells."""
+    probes.faults()
+    lines = capsys.readouterr().out.splitlines()
+    for name in ("euler-shock-tube", "water-nasg-shock-tube"):
+        assert any(line.startswith(f"{name} n={probes.LARGE_CELLS} rsir ")
+                   and line.endswith(" minor faults/step") for line in lines)
